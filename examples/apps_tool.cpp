@@ -48,6 +48,7 @@
 #include "sparsify/sparsify.hpp"
 #include "sparsify/spectral_cert.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/options.hpp"
 #include "support/parallel.hpp"
 #include "support/timer.hpp"
@@ -89,23 +90,6 @@ std::uint64_t vector_hash(std::span<const double> v) {
   return h;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  char buf[8];
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 struct RunRecord {
   std::string input, app;
   graph::Vertex n = 0;
@@ -133,7 +117,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs) {
   out << "{\n  \"tool\": \"apps_tool\",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunRecord& r = runs[i];
-    out << "    {\"input\": \"" << json_escape(r.input) << "\", \"app\": \""
+    out << "    {\"input\": \"" << support::json_escape(r.input) << "\", \"app\": \""
         << r.app << "\", \"n\": " << r.n << ", \"m\": " << r.m
         << ", \"ms\": " << r.ms;
     if (r.app == "partition") {

@@ -67,6 +67,7 @@
 #include "sparsify/sparsify.hpp"
 #include "sparsify/stream.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -104,23 +105,6 @@ graph::Graph load_input(const std::string& spec) {
   return graph::load_graph(spec);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  char buf[8];
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 struct RunRecord {
   std::string input, method;
   graph::Vertex n = 0;
@@ -155,7 +139,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunRecord& r = runs[i];
     const auto& q = r.report;
-    out << "    {\"input\": \"" << json_escape(r.input) << "\", \"n\": " << r.n
+    out << "    {\"input\": \"" << support::json_escape(r.input) << "\", \"n\": " << r.n
         << ", \"m\": " << r.m
         << ", \"largest_component_used\": " << (r.reduced_to_component ? "true" : "false")
         << ", \"method\": \"" << r.method << "\", \"eps\": " << r.eps

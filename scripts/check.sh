@@ -112,6 +112,7 @@ wait "$server_pid"
 # and the framed wire bytes reconcile exactly with the words shipped.
 "$build_dir/bench/bench_dist_shard" --selftest --worker "$build_dir/src/dist/dist_worker"
 
-# Documentation gates: undocumented public symbols in src/solver and
-# src/resistance, and broken relative links in the top-level markdown.
+# Documentation gates: undocumented public symbols in src/solver,
+# src/resistance, src/apps and src/server, and broken relative links in the
+# top-level markdown.
 scripts/check_docs.sh

@@ -40,6 +40,7 @@
 
 namespace spar::server {
 
+/// Settings of a ChainRegistry.
 struct RegistryOptions {
   /// Byte budget for resident chains; 0 = unlimited. The most-recently-used
   /// entry is exempt so a tiny budget degrades to rebuild-per-request
@@ -54,9 +55,9 @@ struct RegistryOptions {
 /// handed out by shared_ptr so eviction can never pull it out from under an
 /// in-flight solve.
 struct ChainEntry {
-  std::string name;
-  solver::SDDMatrix matrix;
-  solver::InverseChain chain;
+  std::string name;            ///< registry key the entry was built for
+  solver::SDDMatrix matrix;    ///< the graph's Laplacian
+  solver::InverseChain chain;  ///< chain built from `matrix` with the registry's options
   std::size_t memory_bytes = 0;  ///< approximate resident cost (see .cpp)
 };
 
@@ -64,7 +65,7 @@ using ChainHandle = std::shared_ptr<const ChainEntry>;
 
 /// Per-graph counters, exposed by stats().
 struct ChainStats {
-  std::string name;
+  std::string name;              ///< registry key
   std::uint64_t hits = 0;        ///< acquire() served from the resident entry
   std::uint64_t builds = 0;      ///< chain constructions (cold or post-evict)
   std::uint64_t evictions = 0;   ///< times the entry was dropped for budget
@@ -73,8 +74,11 @@ struct ChainStats {
   std::size_t memory_bytes = 0;  ///< cost of the resident entry (0 if not)
 };
 
+/// Named graphs with their inverse chains kept resident under a byte budget
+/// (least recently used evicted first); thread-safe.
 class ChainRegistry {
  public:
+  /// Empty registry; every chain is built with options.chain.
   explicit ChainRegistry(RegistryOptions options = {});
 
   /// Installs (or replaces) the graph behind `name`. Replacing drops any
@@ -83,6 +87,7 @@ class ChainRegistry {
   /// stay valid.
   void put_graph(const std::string& name, graph::Graph g);
 
+  /// True once put_graph(name, ...) has run.
   bool has_graph(const std::string& name) const;
 
   /// Returns the resident chain for `name`, building it if necessary.
@@ -96,6 +101,7 @@ class ChainRegistry {
   /// Counters for every registered name, sorted by name.
   std::vector<ChainStats> stats() const;
 
+  /// The options the registry was constructed with.
   const RegistryOptions& options() const { return options_; }
 
  private:

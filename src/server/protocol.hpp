@@ -57,21 +57,25 @@ using support::net::Socket;
 using support::net::connect_tcp;
 using support::net::connect_unix;
 
+/// Wire version written into every header; a mismatch is rejected on read.
 inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Encoded FrameHeader size: magic + version + type + id + length + checksum.
 inline constexpr std::size_t kFrameHeaderBytes = 40;
 /// Refuse absurd frames before allocating (a corrupt length field must not
 /// become a 2^60-byte allocation). 1 GiB >> any real RHS here.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 
+/// Frame type; the payload of each is laid out in the comment at the top.
+/// Requests are below 100, replies 100 and up.
 enum class MsgType : std::uint32_t {
-  kRegisterGraph = 1,
-  kSolve = 2,
-  kStats = 3,
-  kShutdown = 4,
-  kOk = 100,
-  kSolveReply = 101,
-  kStatsReply = 102,
-  kError = 103,
+  kRegisterGraph = 1,  ///< install a named graph (reply kOk)
+  kSolve = 2,          ///< solve L(name) x = b (reply kSolveReply)
+  kStats = 3,          ///< service + registry counters (reply kStatsReply)
+  kShutdown = 4,       ///< drain and exit (reply kOk)
+  kOk = 100,           ///< success with no payload
+  kSolveReply = 101,   ///< solution plus solve and batch counters
+  kStatsReply = 102,   ///< stats JSON
+  kError = 103,        ///< failure text, in reply to any request
 };
 
 /// Decoded frame header (host-order fields; see the layout comment above).

@@ -1,12 +1,13 @@
 #include "server/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "solver/solver.hpp"
+#include "support/assert.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 
 namespace spar::server {
@@ -20,33 +21,19 @@ std::uint64_t micros_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {  // remaining control chars: JSON demands \u00XX
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
+/// Rejects batching limits the dispatcher cannot honour. Runs in the member
+/// initializer list, before the dispatcher thread starts.
+ServiceOptions checked(ServiceOptions options) {
+  SPAR_CHECK(options.max_batch >= 1, "SolverService: max_batch must be at least 1");
+  SPAR_CHECK(options.deadline_us <= kMaxDeadlineUs,
+             "SolverService: deadline_us must be at most one hour (3600000000)");
+  return options;
 }
 
 }  // namespace
 
 SolverService::SolverService(ServiceOptions options)
-    : options_(std::move(options)),
+    : options_(checked(std::move(options))),
       registry_(options_.registry),
       pool_(options_.threads),
       dispatcher_([this] { dispatcher_main(); }) {}
@@ -93,7 +80,7 @@ bool SolverService::next_batch(Batch& out) {
   queue_.pop_front();
   // Copy, not reference: admitting push_backs may reallocate `out`.
   const std::string name = out.front().name;
-  const std::size_t max_batch = options_.batching ? options_.max_batch : 1;
+  const std::size_t max_batch = options_.max_batch;
   const auto deadline =
       out.front().enqueued + std::chrono::microseconds(options_.deadline_us);
 
@@ -232,14 +219,13 @@ std::string SolverService::stats_json() const {
       << ",\"max_batch_seen\":" << s.max_batch_seen
       << ",\"max_batch\":" << options_.max_batch
       << ",\"deadline_us\":" << options_.deadline_us
-      << ",\"batching\":" << (options_.batching ? "true" : "false")
       << ",\"registry\":{\"resident_bytes\":" << registry_.resident_bytes()
       << ",\"budget_bytes\":" << registry_.options().memory_budget_bytes
       << ",\"chains\":[";
   const auto chains = registry_.stats();
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const ChainStats& c = chains[i];
-    out << (i ? "," : "") << "{\"name\":\"" << json_escape(c.name)
+    out << (i ? "," : "") << "{\"name\":\"" << support::json_escape(c.name)
         << "\",\"hits\":" << c.hits << ",\"builds\":" << c.builds
         << ",\"evictions\":" << c.evictions
         << ",\"build_micros\":" << c.build_micros

@@ -44,15 +44,21 @@
 
 namespace spar::server {
 
+/// Largest ServiceOptions::deadline_us the service accepts: one hour. Far
+/// below the ~9.2e15 us at which the deadline's nanosecond arithmetic would
+/// overflow.
+inline constexpr std::uint64_t kMaxDeadlineUs = 3'600'000'000ULL;
+
+/// Batching and solve settings of a SolverService; the constructor rejects a
+/// max_batch of 0 and a deadline_us above kMaxDeadlineUs.
 struct ServiceOptions {
-  /// Max right-hand sides coalesced into one blocked solve.
+  /// Max right-hand sides coalesced into one blocked solve (>= 1). 1
+  /// dispatches every request alone, the per-request baseline the E15 bench
+  /// compares against.
   std::size_t max_batch = 16;
   /// Max microseconds the oldest request of a forming batch may queue
-  /// before the batch is dispatched regardless of size.
+  /// before the batch is dispatched regardless of size (<= kMaxDeadlineUs).
   std::uint64_t deadline_us = 2000;
-  /// false = dispatch every request alone (the baseline the E15 bench
-  /// compares against); equivalent to max_batch = 1.
-  bool batching = true;
   double tolerance = 1e-8;             ///< per-solve target relative residual
   std::size_t max_iterations = 20000;  ///< per-solve PCG iteration cap
   RegistryOptions registry;            ///< chain cache budget + build options
@@ -62,12 +68,12 @@ struct ServiceOptions {
 
 /// Outcome of one submitted request, delivered to its callback.
 struct SolveResult {
-  bool ok = false;
+  bool ok = false;                 ///< false: the batch failed, see error
   std::string error;               ///< set when !ok
-  linalg::Vector solution;
-  std::uint64_t iterations = 0;
-  double relative_residual = 0.0;
-  bool converged = false;
+  linalg::Vector solution;         ///< x with L x ~ rhs (empty when !ok)
+  std::uint64_t iterations = 0;    ///< PCG iterations this column took
+  double relative_residual = 0.0;  ///< ||b - L x|| / ||b|| at exit
+  bool converged = false;          ///< relative_residual reached the tolerance
   std::uint32_t batch_cols = 0;    ///< columns in the batch that served this
   std::uint64_t queue_us = 0;      ///< submit -> dispatch wait
   std::uint64_t solve_us = 0;      ///< blocked solve wall time (whole batch)
@@ -75,22 +81,28 @@ struct SolveResult {
 
 /// Service-level counters (registry counters live in ChainRegistry::stats).
 struct ServiceStats {
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;         ///< requests submitted
   std::uint64_t batches = 0;          ///< blocked solves dispatched
   std::uint64_t batched_requests = 0; ///< requests served in a batch with k >= 2
   std::uint64_t size_closes = 0;      ///< batches closed by reaching max_batch
   std::uint64_t deadline_closes = 0;  ///< batches closed by deadline expiry
-  std::size_t max_batch_seen = 0;
+  std::size_t max_batch_seen = 0;     ///< widest batch dispatched so far
 };
 
+/// Admission queue + dispatcher thread + TaskPool: coalesces same-graph
+/// requests into blocked solves over the registry's chains.
 class SolverService {
  public:
+  /// Receives one request's outcome, on a service thread.
   using Callback = std::function<void(SolveResult)>;
 
+  /// Starts the dispatcher. Throws spar::Error if options.max_batch is 0 or
+  /// options.deadline_us exceeds kMaxDeadlineUs.
   explicit SolverService(ServiceOptions options);
+  /// Runs shutdown(): queued requests are still served.
   ~SolverService();
-  SolverService(const SolverService&) = delete;
-  SolverService& operator=(const SolverService&) = delete;
+  SolverService(const SolverService&) = delete;             ///< not copyable
+  SolverService& operator=(const SolverService&) = delete;  ///< not copyable
 
   /// Installs (or replaces) a named graph in the registry.
   void put_graph(const std::string& name, graph::Graph g);
@@ -104,7 +116,9 @@ class SolverService {
   /// fire), and joins the dispatcher. Idempotent.
   void shutdown();
 
+  /// Snapshot of the service counters.
   ServiceStats stats() const;
+  /// The chain registry behind the service (its own counters and budget).
   const ChainRegistry& registry() const { return registry_; }
 
   /// Everything above as a JSON object (service counters + per-chain

@@ -11,6 +11,10 @@
 //     [--tolerance=1e-8] [--graph=name=gen:grid:64x64 ...]
 //     [--tcp-port=P [--port-file=PATH]]
 //
+// --no-batching is shorthand for --max-batch=1 (every request solved alone).
+// Numeric flags must not be negative; the service itself rejects
+// --max-batch=0 and a --deadline-us above one hour.
+//
 // --graph preloads name->spec pairs at startup (clients can also register
 // graphs over the wire with kRegisterGraph). A kShutdown frame from any
 // client drains the service and exits cleanly.
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -44,6 +49,16 @@ using server::MsgType;
 using server::PayloadReader;
 using server::PayloadWriter;
 using server::Socket;
+
+/// Reads an integer flag that must not be negative: the unsigned casts below
+/// would turn -1 into 2^64 - 1.
+std::int64_t non_negative(const support::Options& opt, const std::string& key,
+                          std::int64_t fallback) {
+  const std::int64_t value = opt.get_int(key, fallback);
+  if (value < 0)
+    throw Error("--" + key + " must not be negative, got " + std::to_string(value));
+  return value;
+}
 
 graph::Graph load_spec(const std::string& spec) {
   if (spec.rfind("gen:", 0) == 0) return graph::generate_spec(spec);
@@ -192,17 +207,19 @@ int run(int argc, char** argv) {
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
 
   server::ServiceOptions service_opt;
-  service_opt.max_batch =
-      static_cast<std::size_t>(opt.get_int("max-batch", 16));
+  service_opt.max_batch = static_cast<std::size_t>(non_negative(opt, "max-batch", 16));
+  if (opt.get_bool("no-batching", false)) service_opt.max_batch = 1;
   service_opt.deadline_us =
-      static_cast<std::uint64_t>(opt.get_int("deadline-us", 2000));
-  service_opt.batching = !opt.get_bool("no-batching", false);
+      static_cast<std::uint64_t>(non_negative(opt, "deadline-us", 2000));
   service_opt.tolerance = opt.get_double("tolerance", 1e-8);
+  if (service_opt.tolerance < 0.0) throw Error("--tolerance must not be negative");
   service_opt.max_iterations =
-      static_cast<std::size_t>(opt.get_int("max-iterations", 20000));
+      static_cast<std::size_t>(non_negative(opt, "max-iterations", 20000));
   service_opt.registry.memory_budget_bytes =
-      static_cast<std::size_t>(opt.get_int("chain-memory-budget", 0));
-  service_opt.threads = static_cast<int>(opt.get_int("threads", 0));
+      static_cast<std::size_t>(non_negative(opt, "chain-memory-budget", 0));
+  service_opt.threads = static_cast<int>(non_negative(opt, "threads", 0));
+  const std::int64_t tcp_port = non_negative(opt, "tcp-port", 0);
+  if (tcp_port > 65535) throw Error("--tcp-port must be at most 65535");
 
   server::SolverService service(service_opt);
 
@@ -227,8 +244,7 @@ int run(int argc, char** argv) {
   // shared support/net listener both the service and src/dist use).
   const bool use_tcp = opt.has("tcp-port");
   server::Listener listener =
-      use_tcp ? server::Listener::tcp(
-                    static_cast<std::uint16_t>(opt.get_int("tcp-port", 0)))
+      use_tcp ? server::Listener::tcp(static_cast<std::uint16_t>(tcp_port))
               : server::Listener::unix_domain(socket_path);
   if (use_tcp && opt.has("port-file")) {
     // Written after listen() so a polling client never reads a dead port.
@@ -240,15 +256,13 @@ int run(int argc, char** argv) {
   }
   std::atomic<bool> stop{false};
   if (use_tcp) {
-    std::fprintf(stderr, "[solver_server] listening on 127.0.0.1:%u (max-batch=%zu deadline-us=%llu batching=%d)\n",
+    std::fprintf(stderr, "[solver_server] listening on 127.0.0.1:%u (max-batch=%zu deadline-us=%llu)\n",
                  static_cast<unsigned>(listener.port()), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us),
-                 service_opt.batching ? 1 : 0);
+                 static_cast<unsigned long long>(service_opt.deadline_us));
   } else {
-    std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu batching=%d)\n",
+    std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu)\n",
                  socket_path.c_str(), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us),
-                 service_opt.batching ? 1 : 0);
+                 static_cast<unsigned long long>(service_opt.deadline_us));
   }
 
   std::vector<std::thread> threads;

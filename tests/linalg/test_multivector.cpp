@@ -1,6 +1,6 @@
 // MultiVector and the blocked kernels built on it: row-interleaved layout,
 // fused per-column reductions, blocked CSR SpMM, blocked (P)CG with
-// convergence masking, blocked Chebyshev. The load-bearing property
+// convergence masking. The load-bearing property
 // throughout is BIT-identity: a blocked operation's column j must equal the
 // corresponding single-vector operation on that column exactly (not
 // approximately), for any thread count -- that is the contract
@@ -13,7 +13,6 @@
 
 #include "graph/generators.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/chebyshev.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/laplacian.hpp"
 #include "support/error.hpp"
@@ -281,29 +280,6 @@ TEST(BlockedCg, EmptyBlockAndShapeChecks) {
   EXPECT_FALSE(report.all_converged());  // vacuously unconverged by contract
   MultiVector bad_b(sys.matrix.rows() + 1, 2), x(sys.matrix.rows(), 2);
   EXPECT_THROW(blocked_conjugate_gradient(sys.block_op, bad_b, x, {}), spar::Error);
-}
-
-TEST(BlockedChebyshev, BitIdenticalToSingleRhs) {
-  const graph::Graph g = graph::grid2d(9, 9);
-  TestSystem sys(g, 0.5);
-  const std::size_t n = sys.matrix.rows();
-  ChebyshevOptions opt;
-  opt.lambda_min = 0.5;  // shift guarantees lambda_min >= 0.5
-  opt.lambda_max = 8.5;  // Laplacian degree bound + shift
-  opt.iterations = 40;
-  std::vector<Vector> cols = {random_vector(n, 51), Vector(n, 0.0),
-                              random_vector(n, 52)};
-  const MultiVector b = MultiVector::from_columns(cols);
-  MultiVector x(n, b.cols(), 0.0);
-  const auto reports = chebyshev_solve(sys.block_op, b, x, opt);
-  ASSERT_EQ(reports.size(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    Vector xs(n, 0.0);
-    const auto single = chebyshev_solve(sys.op, b.column_copy(j), xs, opt);
-    EXPECT_TRUE(bits_equal(x.column_copy(j), xs)) << "col " << j;
-    EXPECT_EQ(reports[j].relative_residual, single.relative_residual);
-  }
-  for (double v : x.column_copy(1)) EXPECT_EQ(v, 0.0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -142,14 +143,13 @@ TEST(SolverService, WrongRhsSizeFailsTheRequestNotTheService) {
 }
 
 TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
-  // Same request stream against a batching and a non-batching service:
-  // batch_cols differ, bytes must not.
+  // Same request stream against a batching and a non-batching service
+  // (max_batch = 1): batch_cols differ, bytes must not.
   const graph::Graph g = graph::grid2d(9, 12);
   const std::size_t n = g.num_vertices();
-  auto run = [&](bool batching) {
+  auto run = [&](std::size_t max_batch) {
     ServiceOptions opt;
-    opt.batching = batching;
-    opt.max_batch = 8;
+    opt.max_batch = max_batch;
     opt.deadline_us = 20000;
     SolverService service(opt);
     service.put_graph("g", graph::grid2d(9, 12));
@@ -166,8 +166,8 @@ TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
     got.cv.wait(lock, [&] { return done.load() == 6; });
     return ordered;
   };
-  const auto batched = run(true);
-  const auto singles = run(false);
+  const auto batched = run(8);
+  const auto singles = run(1);
   for (std::size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(batched[i].ok && singles[i].ok);
     EXPECT_EQ(singles[i].batch_cols, 1u);
@@ -176,6 +176,23 @@ TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
               0)
         << "batching must never change response bytes (request " << i << ")";
   }
+}
+
+TEST(SolverService, ConstructorRejectsUnservableLimits) {
+  // max_batch = 0 would admit nothing; a deadline past one hour risks the
+  // nanosecond overflow in the batch-close arithmetic. Both limits are
+  // inclusive.
+  ServiceOptions opt;
+  opt.max_batch = 0;
+  EXPECT_THROW(SolverService{opt}, spar::Error);
+  opt.max_batch = 1;
+  opt.deadline_us = kMaxDeadlineUs + 1;
+  EXPECT_THROW(SolverService{opt}, spar::Error);
+  opt.deadline_us = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(SolverService{opt}, spar::Error);
+  opt.deadline_us = kMaxDeadlineUs;
+  SolverService ok(opt);
+  EXPECT_NE(ok.stats_json().find("\"deadline_us\":3600000000"), std::string::npos);
 }
 
 TEST(SolverService, ShutdownDrainsQueuedRequests) {

@@ -1,21 +1,20 @@
-// Streamed-build chains (ChainOptions::squaring = kStreamed / kAuto): parity
-// with the dense reference build -- same certification, same solve envelope,
-// deterministic across thread counts -- plus the fill-in guard and the mode
-// switch. The dense/streamed split is a build-path choice, never a semantic
-// one; these tests pin that contract.
+// Streamed-build chains (ChainOptions::streamed_fill_threshold = 0 forces the
+// streamed path, SIZE_MAX the dense one): parity with the dense reference
+// build -- same certification, same solve envelope, deterministic across
+// thread counts -- plus the threshold switch. The dense/streamed split is a
+// build-path choice, never a semantic one; these tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <string>
-#include <tuple>
+#include <limits>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "solver/chain.hpp"
 #include "solver/solver.hpp"
-#include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -36,7 +35,7 @@ SDDMatrix grounded_grid(graph::Vertex side) {
 /// exercise real batching and row-blocking.
 ChainOptions streamed_options() {
   ChainOptions opt;
-  opt.squaring = SquaringMode::kStreamed;
+  opt.streamed_fill_threshold = 0;  // every square streams
   opt.stream_batch_edges = 1024;
   opt.stream_block_fill_edges = 4096;
   opt.max_levels = 8;
@@ -87,7 +86,7 @@ TEST(StreamedChain, CertifiesAndSolvesLikeDenseBuild) {
   for (double& v : b) v = rng.normal();
 
   ChainOptions dense_opt;
-  dense_opt.squaring = SquaringMode::kDense;
+  dense_opt.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
   dense_opt.max_levels = 8;
   const InverseChain dense_chain(m, dense_opt);
   const InverseChain streamed_chain(m, streamed_options());
@@ -125,7 +124,7 @@ TEST(StreamedChain, MultiRhsParityWithDenseBuild) {
     for (std::size_t j = 0; j < k; ++j) b.at(i, j) = rng.normal();
 
   ChainOptions dense_opt;
-  dense_opt.squaring = SquaringMode::kDense;
+  dense_opt.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
   dense_opt.max_levels = 8;
   const InverseChain dense_chain(m, dense_opt);
   const InverseChain streamed_chain(m, streamed_options());
@@ -177,58 +176,31 @@ TEST(StreamedChain, LevelInfoRecordsStreamedAccounting) {
 }
 
 TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
+  // One threshold picks the path per level: SIZE_MAX keeps every square
+  // dense, and 0, 1 or a tiny budget below the first level's projection
+  // stream from level 0 on.
   const SDDMatrix m = grounded_grid(16);
 
   ChainOptions stay_dense;
-  stay_dense.squaring = SquaringMode::kAuto;
   stay_dense.max_levels = 3;
-  stay_dense.streamed_fill_threshold = std::size_t{1} << 40;  // never reached
+  stay_dense.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
   const InverseChain dense_chain(m, stay_dense);
   for (const auto& info : dense_chain.level_info())
     EXPECT_FALSE(info.streamed_square);
 
-  ChainOptions go_streamed = stay_dense;
-  go_streamed.streamed_fill_threshold = 1;  // any square exceeds this
-  go_streamed.stream_batch_edges = 1024;
-  go_streamed.stream_block_fill_edges = 4096;
-  const InverseChain streamed_chain(m, go_streamed);
-  const auto& info = streamed_chain.level_info();
-  ASSERT_GE(info.size(), 2u);
-  for (std::size_t i = 0; i + 1 < info.size(); ++i)
-    EXPECT_TRUE(info[i].streamed_square) << i;
-}
-
-TEST(StreamedChain, MaxLevelFillGuardThrowsDiagnosed) {
-  // kDense with a tiny fill budget must refuse the square BEFORE committing
-  // product memory, and the error must name the level, the projection, and
-  // the streamed escape hatch.
-  const SDDMatrix m = grounded_grid(12);
-  ChainOptions opt;
-  opt.squaring = SquaringMode::kDense;
-  opt.max_level_fill = 10;
-  try {
-    const InverseChain chain(m, opt);
-    FAIL() << "expected spar::Error from the fill guard";
-  } catch (const spar::Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("level 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("max_level_fill"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("kStreamed"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(std::to_string(opt.max_level_fill)), std::string::npos) << msg;
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{1}, std::size_t{10}}) {
+    ChainOptions go_streamed = stay_dense;
+    go_streamed.streamed_fill_threshold = threshold;
+    go_streamed.stream_batch_edges = 1024;
+    go_streamed.stream_block_fill_edges = 4096;
+    const InverseChain streamed_chain(m, go_streamed);
+    const auto& info = streamed_chain.level_info();
+    ASSERT_GE(info.size(), 2u) << threshold;
+    for (std::size_t i = 0; i + 1 < info.size(); ++i) {
+      EXPECT_TRUE(info[i].streamed_square) << threshold << " level " << i;
+      EXPECT_GT(info[i].projected_fill, threshold) << threshold << " level " << i;
+    }
   }
-}
-
-TEST(StreamedChain, AutoModeStreamsInsteadOfThrowingOnTinyBudget) {
-  // Same tiny budget, kAuto: the guard acts as a switch, not a wall.
-  const SDDMatrix m = grounded_grid(12);
-  ChainOptions opt = streamed_options();
-  opt.squaring = SquaringMode::kAuto;
-  opt.max_level_fill = 10;
-  opt.max_levels = 3;
-  const InverseChain chain(m, opt);
-  const auto& info = chain.level_info();
-  ASSERT_GE(info.size(), 2u);
-  EXPECT_TRUE(info.front().streamed_square);
 }
 
 TEST(StreamedChain, DeterministicAcrossThreadCounts) {

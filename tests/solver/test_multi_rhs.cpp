@@ -124,17 +124,6 @@ TEST(SolveSddMulti, NonsingularSddBitIdenticalAcrossThreads) {
         << "thread sweep entry " << t << " diverged";
 }
 
-TEST(SolveSddMulti, ChebyshevTailBitIdentical) {
-  const Graph g = graph::grid2d(11, 11);
-  const SDDMatrix m(g);
-  SolveOptions opt;
-  opt.chain.max_levels = 6;
-  opt.chain.tail = TailSmoother::kChebyshev;
-  const InverseChain chain(m, opt.chain);
-  const MultiVector b = random_rhs_block(m.dimension(), 3, 23, /*mean_free=*/true);
-  check_batched_equals_loop(m, chain, b, opt);
-}
-
 TEST(SolveSddMulti, InternalChainBuildMatchesExplicitChain) {
   const Graph g = graph::grid2d(10, 10);
   const SDDMatrix m(g);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -234,16 +235,18 @@ TEST(ParallelCompact, EdgeCases) {
                                   {.grain = 64}),
             0u);
   EXPECT_EQ(calls, 0);
-  std::size_t last_pos = 0;
+  // emit runs concurrently across chunks, so record each position in its own
+  // slot rather than in one shared variable.
+  std::vector<int> emitted(1000, 0);
   EXPECT_EQ(par::parallel_compact(
                 0, 1000, [](std::int64_t) { return true; },
                 [&](std::int64_t i, std::size_t pos) {
                   EXPECT_EQ(static_cast<std::size_t>(i), pos);
-                  last_pos = pos;
+                  if (pos < emitted.size()) ++emitted[pos];
                 },
                 {.grain = 64}),
             1000u);
-  EXPECT_EQ(last_pos, 999u);
+  EXPECT_EQ(std::count(emitted.begin(), emitted.end(), 1), 1000);
 }
 
 TEST(ThreadLimit, RestoresPreviousBudget) {
