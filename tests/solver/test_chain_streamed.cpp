@@ -177,8 +177,7 @@ TEST(StreamedChain, LevelInfoRecordsStreamedAccounting) {
 
 TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
   // One threshold picks the path per level: SIZE_MAX keeps every square
-  // dense, and 0, 1 or a tiny budget below the first level's projection
-  // stream from level 0 on.
+  // dense, and 0 or 1 stream from level 0 on.
   const SDDMatrix m = grounded_grid(16);
 
   ChainOptions stay_dense;
@@ -188,7 +187,7 @@ TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
   for (const auto& info : dense_chain.level_info())
     EXPECT_FALSE(info.streamed_square);
 
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{1}, std::size_t{10}}) {
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{1}}) {
     ChainOptions go_streamed = stay_dense;
     go_streamed.streamed_fill_threshold = threshold;
     go_streamed.stream_batch_edges = 1024;
@@ -201,6 +200,20 @@ TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
       EXPECT_GT(info[i].projected_fill, threshold) << threshold << " level " << i;
     }
   }
+}
+
+TEST(StreamedChain, AutoModeStreamsInsteadOfThrowingOnTinyBudget) {
+  // A tiny fill budget is a switch, not a wall: the first square projects
+  // past it, so the chain streams from level 0 instead of refusing to build.
+  const SDDMatrix m = grounded_grid(12);
+  ChainOptions opt = streamed_options();
+  opt.streamed_fill_threshold = 10;
+  opt.max_levels = 3;
+  const InverseChain chain(m, opt);
+  const auto& info = chain.level_info();
+  ASSERT_GE(info.size(), 2u);
+  EXPECT_TRUE(info.front().streamed_square);
+  EXPECT_GT(info.front().projected_fill, opt.streamed_fill_threshold);
 }
 
 TEST(StreamedChain, DeterministicAcrossThreadCounts) {
