@@ -138,9 +138,9 @@ int main(int argc, char** argv) {
       "eps/level %.4f, merge traffic %llu edges (%.2fx ingest)\n",
       mem_report.batches, mem_report.sparsify_calls, mem_report.levels_used,
       mem_report.depth_used, mem_report.depth_planned, mem_report.per_level_epsilon,
-      static_cast<unsigned long long>(mem_report.metrics.merge_edges),
-      double(mem_report.metrics.merge_edges) /
-          double(std::max<std::uint64_t>(mem_report.metrics.edges_ingested, 1)));
+      static_cast<unsigned long long>(mem_report.merge_edges),
+      double(mem_report.merge_edges) /
+          double(std::max<std::uint64_t>(mem_report.edges_ingested, 1)));
 
   // Determinism across thread counts (the golden-hash test pins the exact
   // value; here we re-check on the big workload).

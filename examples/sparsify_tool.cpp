@@ -163,8 +163,8 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs) {
           << ", \"stream_depth_planned\": " << s.depth_planned
           << ", \"per_level_epsilon\": " << s.per_level_epsilon
           << ", \"stream_sparsify_calls\": " << s.sparsify_calls
-          << ", \"stream_merge_edges\": " << s.metrics.merge_edges
-          << ", \"stream_words_ingested\": " << s.metrics.words_ingested;
+          << ", \"stream_merge_edges\": " << s.merge_edges
+          << ", \"stream_edges_ingested\": " << s.edges_ingested;
     }
     if (r.dynamic) {
       const auto& d = r.dyn;

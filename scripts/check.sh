@@ -113,6 +113,6 @@ wait "$server_pid"
 "$build_dir/bench/bench_dist_shard" --selftest --worker "$build_dir/src/dist/dist_worker"
 
 # Documentation gates: undocumented public symbols in src/solver,
-# src/resistance, src/apps and src/server, and broken relative links in the
-# top-level markdown.
+# src/resistance, src/apps, src/server and src/sparsify, and broken relative
+# links in the top-level markdown.
 scripts/check_docs.sh

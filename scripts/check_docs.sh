@@ -4,8 +4,8 @@
 #   scripts/check_docs.sh
 #
 # 1. scripts/check_public_docs.py -- fails on any undocumented public symbol
-#    in src/solver, src/resistance, src/apps and src/server (works offline,
-#    no doxygen needed).
+#    in src/solver, src/resistance, src/apps, src/server and src/sparsify
+#    (works offline, no doxygen needed).
 # 2. scripts/check_links.sh -- fails on any broken relative link in the
 #    top-level markdown docs.
 # 3. If doxygen is installed, runs it over the Doxyfile and fails on
@@ -17,7 +17,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-python3 scripts/check_public_docs.py src/solver src/resistance src/apps src/server
+python3 scripts/check_public_docs.py src/solver src/resistance src/apps src/server \
+  src/sparsify
 scripts/check_links.sh
 
 if command -v doxygen >/dev/null 2>&1; then

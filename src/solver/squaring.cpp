@@ -126,11 +126,11 @@ SDDMatrix square_streamed(const SDDMatrix& m, const StreamedSquareOptions& optio
   sopt.t = options.t;
   sopt.seed = options.seed;
   sopt.batch_edges = options.batch_edges;
-  sopt.planned_batches = std::max<std::size_t>(
-      1, (total_fill / 2 + options.batch_edges - 1) / options.batch_edges);
   sopt.max_resident_levels = options.max_resident_levels;
   sopt.work = options.work;
-  sparsify::StreamSparsifier tower(static_cast<Vertex>(n), sopt);
+  const std::size_t planned_batches = std::max<std::size_t>(
+      1, (total_fill / 2 + options.batch_edges - 1) / options.batch_edges);
+  sparsify::StreamSparsifier tower(static_cast<Vertex>(n), planned_batches, sopt);
 
   // Exact row sums of S = D^{1/2} X X D^{1/2} accumulate on the way past the
   // tower, so the slack is computed from the PRE-sparsification product (the

@@ -23,6 +23,7 @@ namespace spar::sparsify {
 graph::Graph uniform_sparsify(const graph::Graph& g, double keep_probability,
                               std::uint64_t seed);
 
+/// How Spielman-Srivastava obtains the effective resistances it samples by.
 enum class ResistanceMode {
   kExactDense,   ///< O(n^3) pseudoinverse; ground truth, small n
   kApproxSolver, ///< Spielman-Srivastava JL + CG estimates

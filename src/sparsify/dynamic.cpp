@@ -6,15 +6,33 @@
 #include <unordered_set>
 #include <utility>
 
-#include "sparsify/round_context.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace spar::sparsify {
 
 namespace {
 
 constexpr std::uint64_t kDynSeedTag = 0x64796e616d6963ULL;  // "dynamic"
+
+/// Fraction s of the log-eps budget reserved for staleness; passes run at
+/// half of the remainder (see dynamic.hpp).
+constexpr double kStalenessShare = 0.25;
+/// Drop a level's sketch once the deleted fraction of the segment weight it
+/// was computed over exceeds this (re-reduced at the next checkpoint).
+constexpr double kMaxStaleness = 0.25;
+/// Collapse the whole tower instead of patching levels when the sketchless
+/// segments hold >= this fraction of the live edges at a checkpoint.
+constexpr double kRebuildFraction = 0.5;
+/// A segment is only worth a sparsify pass when it is denser than this many
+/// edges per (t x touched vertex): below that the t-spanner bundle would keep
+/// essentially everything, so the segment serves its exact edges instead
+/// (zero error). This keeps incremental checkpoints cheap on bounded-degree
+/// families (E17's grid).
+constexpr double kSketchDensity = 2.0;
+/// Collapse the tower into one level once more than this many levels are
+/// occupied (bounds per-checkpoint concatenation; error composes as a max
+/// over levels, so it does not grow with the level count).
+constexpr std::size_t kMaxResidentLevels = 16;
 
 std::uint64_t edge_key(graph::Vertex a, graph::Vertex b) {
   const graph::Vertex lo = a < b ? a : b;
@@ -31,53 +49,25 @@ std::string edge_name(std::uint64_t key) {
 
 DynamicSparsifier::DynamicSparsifier(graph::Vertex num_vertices,
                                      const DynamicOptions& options)
-    : n_(num_vertices), opt_(options) {
+    : n_(num_vertices), opt_(options), passes_(options, kDynSeedTag) {
   SPAR_CHECK(n_ > 0, "dynamic: need at least one vertex");
-  SPAR_CHECK(opt_.epsilon > 0.0, "dynamic: epsilon must be positive");
-  SPAR_CHECK(opt_.rho >= 1.0, "dynamic: rho must be >= 1");
-  SPAR_CHECK(opt_.keep_probability > 0.0 && opt_.keep_probability <= 1.0,
-             "dynamic: keep_probability must be in (0, 1]");
   SPAR_CHECK(opt_.batch_updates > 0, "dynamic: batch_updates must be positive");
-  SPAR_CHECK(opt_.max_staleness > 0.0, "dynamic: max_staleness must be positive");
-  SPAR_CHECK(opt_.staleness_eps_share > 0.0 && opt_.staleness_eps_share < 1.0,
-             "dynamic: staleness_eps_share must be in (0, 1)");
-  SPAR_CHECK(opt_.rebuild_fraction > 0.0 && opt_.rebuild_fraction <= 1.0,
-             "dynamic: rebuild_fraction must be in (0, 1]");
-  SPAR_CHECK(opt_.max_resident_levels >= 1,
-             "dynamic: max_resident_levels must be >= 1");
-  SPAR_CHECK(opt_.sketch_density > 0.0, "dynamic: sketch_density must be positive");
-  log_budget_ = std::log1p(opt_.epsilon);
-  stale_budget_ = opt_.staleness_eps_share * log_budget_;
-  eps_pass_ = std::expm1(0.5 * (1.0 - opt_.staleness_eps_share) * log_budget_);
-  pass_seed_base_ = support::mix64(opt_.seed, kDynSeedTag);
+  stale_budget_ = kStalenessShare * std::log1p(opt_.epsilon);
+  eps_pass_ = budget_epsilon(opt_.epsilon, 1.0 - kStalenessShare, 2);
   gutter_.num_vertices = n_;
   stats_.per_pass_epsilon = eps_pass_;
   stats_.stale_epsilon_budget = std::expm1(stale_budget_);
 }
 
-SparsifyOptions DynamicSparsifier::pass_options() {
-  SparsifyOptions s;
-  s.epsilon = eps_pass_;
-  s.rho = opt_.rho;
-  s.t = opt_.t;
-  s.keep_probability = opt_.keep_probability;
-  s.bundle_kind = opt_.bundle_kind;
-  s.seed = support::mix64(pass_seed_base_, ++passes_);
-  s.work = opt_.work;
-  return s;
-}
-
 void DynamicSparsifier::push_insert(graph::Vertex u, graph::Vertex v, double w) {
   gutter_.push_insert(u, v, w);
   stats_.metrics.updates_ingested += 1;
-  stats_.metrics.words_ingested += 3;
   if (gutter_.size() >= opt_.batch_updates) flush();
 }
 
 void DynamicSparsifier::push_delete(graph::Vertex u, graph::Vertex v) {
   gutter_.push_delete(u, v);
   stats_.metrics.updates_ingested += 1;
-  stats_.metrics.words_ingested += 3;
   if (gutter_.size() >= opt_.batch_updates) flush();
 }
 
@@ -85,10 +75,14 @@ void DynamicSparsifier::apply(const graph::UpdateBatch& updates) {
   SPAR_CHECK(updates.num_vertices == n_,
              "dynamic: update batch vertex count mismatch");
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (updates.op[i] == static_cast<std::uint8_t>(graph::UpdateOp::kInsert))
+    const auto op = static_cast<graph::UpdateOp>(updates.op[i]);
+    if (op == graph::UpdateOp::kInsert) {
       push_insert(updates.u[i], updates.v[i], updates.w[i]);
-    else
+    } else {
+      SPAR_CHECK(op == graph::UpdateOp::kDelete,
+                 "dynamic: unknown update opcode " + std::to_string(updates.op[i]));
       push_delete(updates.u[i], updates.v[i]);
+    }
   }
 }
 
@@ -106,17 +100,11 @@ double DynamicSparsifier::staleness_charge(const Level& level) const {
   return std::log1p(2.0 * level.deleted_weight / level.weight_at_reduce);
 }
 
-std::size_t DynamicSparsifier::resident_edges() const {
-  std::size_t total = gutter_.size();
-  for (const Level& level : levels_) {
-    total += level.exact.size();
-    if (level.has_sketch) total += level.sketch.size();
-  }
-  return total;
-}
-
 void DynamicSparsifier::note_resident() {
-  stats_.peak_resident_edges = std::max(stats_.peak_resident_edges, resident_edges());
+  std::size_t total = gutter_.size();
+  for (const Level& level : levels_)
+    total += level.exact.size() + (level.has_sketch ? level.sketch.size() : 0);
+  stats_.peak_resident_edges = std::max(stats_.peak_resident_edges, total);
 }
 
 void DynamicSparsifier::apply_batch(const graph::UpdateBatch& batch) {
@@ -186,39 +174,31 @@ void DynamicSparsifier::apply_batch(const graph::UpdateBatch& batch) {
           return gone.count(edge_key(level.sketch.u(i), level.sketch.v(i))) == 0;
         });
         const double r = level.deleted_weight / level.weight_at_reduce;
-        if (r > opt_.max_staleness || staleness_charge(level) > stale_budget_) {
+        if (r > kMaxStaleness || staleness_charge(level) > stale_budget_) {
           level.sketch.release();
           level.has_sketch = false;
-          level.dirty = Dirty::kStale;
+          level.stale = true;
         }
       }
     }
   }
 
-  // 3. Inserts: binary-counter carry of the surviving pending inserts.
+  // 3. Inserts: the surviving pending inserts, in arrival order, land as one
+  // new level.
   std::size_t alive = 0;
-  for (const std::uint8_t a : ins_alive) alive += a;
-  graph::EdgeArena fresh(n_);
-  if (alive > 0) {
-    fresh.resize(n_, alive);
-    auto u = fresh.mutable_u();
-    auto v = fresh.mutable_v();
-    auto w = fresh.weights();
-    std::size_t at = 0;
-    for (std::size_t i = 0; i < ins_u.size(); ++i) {
-      if (!ins_alive[i]) continue;
-      u[at] = ins_u[i];
-      v[at] = ins_v[i];
-      w[at] = ins_w[i];
-      ++at;
-    }
-    stats_.inserts_applied += alive;
+  for (std::size_t i = 0; i < ins_u.size(); ++i) {
+    if (!ins_alive[i]) continue;
+    ins_u[alive] = ins_u[i];
+    ins_v[alive] = ins_v[i];
+    ins_w[alive++] = ins_w[i];
   }
-  carry_inserts(std::move(fresh), 1);
+  stats_.inserts_applied += alive;
+  graph::EdgeArena fresh(n_);
+  fresh.append({n_, alive, ins_u.data(), ins_v.data(), ins_w.data()});
+  carry_inserts(std::move(fresh));
 }
 
-void DynamicSparsifier::carry_inserts(graph::EdgeArena&& batch,
-                                      std::size_t batch_count) {
+void DynamicSparsifier::carry_inserts(graph::EdgeArena&& batch) {
   if (batch.size() == 0) return;
   // Land the batch in the first free slot WITHOUT merging the levels below.
   // Union serving composes the per-level error as a MAX over the levels'
@@ -226,51 +206,33 @@ void DynamicSparsifier::carry_inserts(graph::EdgeArena&& batch,
   // no accuracy -- it would only force checkpoints to re-reduce edges that
   // never changed. Merging happens when the resident-level cap is exceeded
   // (below) or a rebuild collapses the tower.
-  std::size_t target = 0;
-  while (target < levels_.size() && levels_[target].occupied) ++target;
-  if (target >= levels_.size()) levels_.resize(target + 1);
-  Level& landing = levels_[target];
-  landing.exact = std::move(batch);
-  landing.occupied = true;
-  landing.has_sketch = false;
-  landing.dirty = Dirty::kCarry;
-  landing.weight_at_reduce = 0.0;
-  landing.deleted_weight = 0.0;
-  landing.batches = batch_count;
-  relevel(landing.exact, target);
+  const std::size_t target = first_free_level(levels_);
+  land(target, std::move(batch));
   stats_.levels_used = std::max(stats_.levels_used, target + 1);
-
-  std::size_t occupied = 0;
-  for (const Level& level : levels_) occupied += level.occupied ? 1 : 0;
-  if (occupied > opt_.max_resident_levels) collapse_tower();
+  if (occupied_levels(levels_) > kMaxResidentLevels) collapse_tower();
 }
 
-void DynamicSparsifier::relevel(const graph::EdgeArena& arena, std::size_t level) {
-  const auto lvl = static_cast<std::uint32_t>(level);
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    directory_.insert_or_assign(edge_key(arena.u(i), arena.v(i)),
-                                DirEntry{arena.weight(i), lvl});
+void DynamicSparsifier::land(std::size_t slot, graph::EdgeArena&& edges) {
+  if (slot >= levels_.size()) levels_.resize(slot + 1);
+  Level& level = levels_[slot];
+  level.exact = std::move(edges);
+  level.occupied = true;
+  const auto lvl = static_cast<std::uint32_t>(slot);
+  for (std::size_t i = 0; i < level.exact.size(); ++i)
+    directory_.insert_or_assign(edge_key(level.exact.u(i), level.exact.v(i)),
+                                DirEntry{level.exact.weight(i), lvl});
 }
 
 void DynamicSparsifier::collapse_tower() {
-  std::size_t top = levels_.size();
-  while (top > 0 && !levels_[top - 1].occupied) --top;
+  const std::size_t top = level_top(levels_);
   if (top == 0) return;
   graph::EdgeArena merged(n_);
-  std::size_t covered = 0;
   for (std::size_t li = top; li-- > 0;) {
     if (!levels_[li].occupied) continue;
     merged.append(levels_[li].exact.view());
-    covered += levels_[li].batches;
     levels_[li] = Level{};
   }
-  Level& landing = levels_[top - 1];
-  landing.exact = std::move(merged);
-  landing.occupied = true;
-  landing.has_sketch = false;
-  landing.dirty = Dirty::kCarry;
-  landing.batches = covered;
-  relevel(landing.exact, top - 1);
+  land(top - 1, std::move(merged));
   stats_.rebuilds += 1;
 }
 
@@ -288,25 +250,17 @@ bool DynamicSparsifier::worth_sketching(const Level& level) const {
   }
   const auto t_eff = static_cast<double>(opt_.t > 0 ? opt_.t : 1);
   return static_cast<double>(m) >
-         opt_.sketch_density * t_eff * static_cast<double>(touched.size());
+         kSketchDensity * t_eff * static_cast<double>(touched.size());
 }
 
 void DynamicSparsifier::build_sketch(Level& level) {
-  graph::EdgeArena copy(n_);
-  copy.append(level.exact.view());
-  stats_.metrics.reduce_edges += copy.size();
-  stats_.metrics.reduce_words += 3 * copy.size();
-  RoundContext ctx(std::move(copy));
-  parallel_sparsify_rounds(ctx, pass_options());
-  level.sketch = std::move(ctx.arena());
+  level.sketch = passes_.reduce(level.exact.view(), eps_pass_);
+  stats_.metrics.reduce_edges = passes_.reduced_edges();
   level.has_sketch = true;
   level.weight_at_reduce = level.exact.total_weight();
   level.deleted_weight = 0.0;
-  if (level.dirty == Dirty::kStale)
-    stats_.re_reduces += 1;
-  else
-    stats_.carry_reduces += 1;
-  level.dirty = Dirty::kNone;
+  (level.stale ? stats_.re_reduces : stats_.carry_reduces) += 1;
+  level.stale = false;
 }
 
 void DynamicSparsifier::rebuild() {
@@ -325,47 +279,35 @@ DynCheckpoint DynamicSparsifier::checkpoint() {
   const auto needs_sketch = [&](const Level& level) {
     return level.occupied && !level.has_sketch && worth_sketching(level);
   };
-  std::size_t dirty_edges = 0, occupied = 0;
-  for (const Level& level : levels_) {
-    occupied += level.occupied ? 1 : 0;
+  std::size_t dirty_edges = 0;
+  for (const Level& level : levels_)
     if (needs_sketch(level)) dirty_edges += level.exact.size();
-  }
-  if (occupied > 1 && directory_.size() > 0 &&
+  if (occupied_levels(levels_) > 1 && directory_.size() > 0 &&
       static_cast<double>(dirty_edges) >=
-          opt_.rebuild_fraction * static_cast<double>(directory_.size()))
+          kRebuildFraction * static_cast<double>(directory_.size()))
     collapse_tower();
   for (std::size_t li = levels_.size(); li-- > 0;)
     if (needs_sketch(levels_[li])) build_sketch(levels_[li]);
   note_resident();
 
   // Serve: concatenate the per-level serving views oldest first. The union
-  // is itself certified (the approximation relation composes over the
-  // levels' disjoint edge sets), so the extra compaction pass is opt-in.
-  double max_level_log = 0.0;
+  // is itself certified: the approximation relation composes over the
+  // levels' disjoint edge sets as a max of their bounds.
+  LogError bound;
   graph::EdgeArena serving(n_);
   for (std::size_t li = levels_.size(); li-- > 0;) {
     const Level& level = levels_[li];
     if (!level.occupied) continue;
     if (level.has_sketch) {
       serving.append(level.sketch.view());
-      max_level_log = std::max(
-          max_level_log, std::log1p(eps_pass_) + staleness_charge(level));
+      bound.join(LogError{staleness_charge(level)}.after_pass(eps_pass_));
     } else {
       serving.append(level.exact.view());  // exact serving: zero error
     }
   }
   DynCheckpoint out;
-  if (opt_.compact_checkpoints) {
-    stats_.metrics.reduce_edges += serving.size();
-    stats_.metrics.reduce_words += 3 * serving.size();
-    RoundContext ctx(std::move(serving));
-    parallel_sparsify_rounds(ctx, pass_options());
-    out.sparsifier = ctx.arena().to_graph();
-    max_level_log += std::log1p(eps_pass_);
-  } else {
-    out.sparsifier = serving.to_graph();
-  }
-  out.certified_epsilon = directory_.empty() ? 0.0 : std::expm1(max_level_log);
+  out.sparsifier = serving.to_graph();
+  out.certified_epsilon = directory_.empty() ? 0.0 : bound.epsilon();
   stats_.max_composed_epsilon =
       std::max(stats_.max_composed_epsilon, out.certified_epsilon);
   return out;

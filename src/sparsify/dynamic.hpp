@@ -44,20 +44,21 @@
 // deleted fraction of the segment's total weight at sketch time, doubled to
 // cover both pencil sides. The log-error budget log(1 + eps) splits
 //
-//     (1 - s)/2  level pass  +  s  staleness  +  (1 - s)/2  checkpoint pass
+//     (1 - s)/2  level pass  +  s  staleness  +  (1 - s)/2  headroom
 //
-// (s = staleness_eps_share), so every pass runs at eps_pass =
+// (s = kStalenessShare), so every pass runs at eps_pass =
 // (1 + eps)^((1 - s)/2) - 1, and a level whose charge would exceed the
-// staleness share -- or whose deleted fraction exceeds max_staleness -- drops
+// staleness share -- or whose deleted fraction exceeds kMaxStaleness -- drops
 // its sketch and is re-reduced from its (exact, already-compacted) segment at
-// the next checkpoint. Composed error along any edge is therefore at most
-// one level pass + the staleness allowance + (when compact_checkpoints) one
-// checkpoint pass, i.e. certified_epsilon <= eps by construction, for any
-// update sequence; the checkpoint share is headroom otherwise. When
-// one batch dirties segments holding >= rebuild_fraction of the live edges,
-// patching level by level is pointless and the tower collapses into a single
-// level (stats().rebuilds) -- the incremental-vs-rebuild crossover E17
-// measures.
+// the next checkpoint. A checkpoint serves the UNION of the per-level serving
+// views, so the composed error of any edge is at most one level pass plus
+// the staleness allowance, i.e. certified_epsilon <= eps by construction, for
+// any update sequence. When one batch dirties segments holding >=
+// kRebuildFraction of the live edges, patching level by level is pointless
+// and the tower collapses into a single level (stats().rebuilds) -- the
+// incremental-vs-rebuild crossover E17 measures. The named constants live in
+// dynamic.cpp; passes, seeds and the log-error bookkeeping run on the shared
+// tower core (tower.hpp).
 //
 // Determinism: batch boundaries, carry targets, and compactions are pure
 // functions of (update sequence, options); every sparsify pass runs the
@@ -77,63 +78,27 @@
 #include "graph/edge_view.hpp"
 #include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
-#include "sparsify/sparsify.hpp"
+#include "sparsify/tower.hpp"
 
 namespace spar::sparsify {
 
-struct DynamicOptions {
-  double epsilon = 0.5;  ///< end-to-end certification target
-  double rho = 4.0;      ///< per-pass sparsification factor
-  std::size_t t = 3;     ///< per-round bundle width of each pass; 0 = theory
-  double keep_probability = 0.25;
-  BundleKind bundle_kind = BundleKind::kSpanner;
-  std::uint64_t seed = 1;
+/// Dynamic tower settings: the shared pass settings plus the gutter size
+/// and the exact-serving floor.
+struct DynamicOptions : TowerOptions {
   /// Updates gathered in the gutter before one tower batch is applied; the
   /// unit that makes batch boundaries arrival-chunking-invariant.
   std::size_t batch_updates = std::size_t{1} << 16;
-  /// Drop a level's sketch once the deleted fraction of the segment weight it
-  /// was computed over exceeds this (re-reduced at the next checkpoint).
-  double max_staleness = 0.25;
-  /// Fraction s of the log-eps budget reserved for staleness; the remainder
-  /// splits evenly between the level pass and the checkpoint pass.
-  double staleness_eps_share = 0.25;
-  /// Collapse the whole tower instead of patching levels when one batch
-  /// leaves >= this fraction of the live edges in sketchless segments.
-  double rebuild_fraction = 0.5;
   /// Segments below this size serve their exact edges (zero error, no pass).
   std::size_t sketch_min_edges = 4096;
-  /// A segment is only worth a sparsify pass when it is denser than this
-  /// many edges per (t x touched vertex): below that the t-spanner bundle
-  /// would keep essentially everything, so the pass is pure overhead and the
-  /// segment serves its exact edges instead (zero error). This is what keeps
-  /// incremental checkpoints cheap on bounded-degree families (E17's grid).
-  double sketch_density = 2.0;
-  /// Collapse the tower into one level once more than this many levels are
-  /// occupied (bounds per-checkpoint concatenation overhead; error does not
-  /// grow with level count, it composes as a max over levels).
-  std::size_t max_resident_levels = 16;
-  /// Run one final reduce pass over the concatenated serving views at every
-  /// checkpoint. Off (the default), a checkpoint returns the UNION of the
-  /// per-level serving views -- itself a certified sparsifier, since the
-  /// approximation relation composes over the levels' disjoint edge sets --
-  /// and costs only the dirty levels' re-reduces, which is what makes
-  /// incremental maintenance beat a from-scratch rebuild even on inputs the
-  /// bundle covers entirely (E17's grid workload). On, the output compacts
-  /// to a single sketch at the cost of one pass over the union.
-  bool compact_checkpoints = false;
-  support::WorkCounter* work = nullptr;
 };
 
-/// Wire-style accounting, mirroring StreamMetrics: an update is a 3-word
-/// message (endpoints + weight/op word), reduces are the words the tower
-/// moves through sparsify passes.
+/// Ingest and reduce traffic of a dynamic tower.
 struct DynMetrics {
-  std::uint64_t updates_ingested = 0;
-  std::uint64_t words_ingested = 0;  ///< 3 per update
-  std::uint64_t reduce_edges = 0;    ///< edges entering sparsify passes
-  std::uint64_t reduce_words = 0;    ///< 3 per reduced edge
+  std::uint64_t updates_ingested = 0;  ///< updates pushed, before cancellation
+  std::uint64_t reduce_edges = 0;      ///< edges entering sparsify passes
 };
 
+/// What a dynamic tower did so far.
 struct DynStats {
   std::uint64_t inserts_applied = 0;   ///< tower inserts (post-cancellation)
   std::uint64_t deletes_applied = 0;   ///< tower deletes (post-cancellation)
@@ -143,43 +108,45 @@ struct DynStats {
   std::size_t carry_reduces = 0;       ///< sketch passes after carry/collapse
   std::size_t re_reduces = 0;          ///< sketch passes forced by staleness
   std::size_t rebuilds = 0;            ///< full tower collapses
-  std::size_t checkpoints = 0;
+  std::size_t checkpoints = 0;         ///< checkpoint() calls
   std::size_t live_edges = 0;          ///< current surviving edge count
   std::size_t peak_resident_edges = 0; ///< max exact+sketch+gutter held
   std::size_t levels_used = 0;         ///< highest occupied level + 1, over run
   double per_pass_epsilon = 0.0;       ///< eps_pass every pass runs at
   double stale_epsilon_budget = 0.0;   ///< eps-equivalent staleness allowance
   double max_composed_epsilon = 0.0;   ///< worst certified bound returned
-  DynMetrics metrics;
+  DynMetrics metrics;                  ///< ingest and reduce traffic
 };
 
 /// One serving of the maintained sparsifier: the union of the per-level
-/// serving views (one final reduce pass over it when compact_checkpoints),
-/// plus the certified composed error bound.
+/// serving views, plus the certified composed error bound.
 struct DynCheckpoint {
-  graph::Graph sparsifier;
-  double certified_epsilon = 0.0;
+  graph::Graph sparsifier;         ///< union of the per-level serving views
+  double certified_epsilon = 0.0;  ///< composed bound; 0 when all serve exact
 };
 
+/// A (1 +- eps) sparsifier maintained under turnstile inserts and deletes.
 class DynamicSparsifier {
  public:
+  /// Validates the options; needs at least one vertex.
   DynamicSparsifier(graph::Vertex num_vertices, const DynamicOptions& options);
 
-  /// Queue one update; the gutter flushes into the tower every batch_updates.
+  /// Queue one insert; the gutter flushes into the tower every batch_updates.
   void push_insert(graph::Vertex u, graph::Vertex v, double w);
+  /// Queue one delete of a live edge.
   void push_delete(graph::Vertex u, graph::Vertex v);
-  /// Queue a whole batch (same gutter boundaries as per-update pushes).
+  /// Queue a whole batch (same gutter boundaries as per-update pushes). An
+  /// opcode other than insert or delete throws.
   void apply(const graph::UpdateBatch& updates);
 
   /// Apply a partial gutter now (checkpoint() and live_graph() call this).
   void flush();
 
   /// Serve the sparsifier: flushes, lazily (re-)reduces dirty levels --
-  /// collapsing the tower first when they hold >= rebuild_fraction of the
-  /// live edges -- then returns the union of the per-level serving views
-  /// (reduced by one more pass when compact_checkpoints). Non-destructive:
-  /// the tower keeps its segments and sketches, so a checkpoint over a clean
-  /// tower costs only the concatenation.
+  /// collapsing the tower first when they hold >= kRebuildFraction of the
+  /// live edges -- then returns the union of the per-level serving views.
+  /// Non-destructive: the tower keeps its segments and sketches, so a
+  /// checkpoint over a clean tower costs only the concatenation.
   DynCheckpoint checkpoint();
 
   /// The exact surviving edge multiset (flushes first). Oracle input.
@@ -191,23 +158,20 @@ class DynamicSparsifier {
   /// Force a full collapse: every live edge into one exact segment.
   void rebuild();
 
+  /// Running counters.
   const DynStats& stats() const { return stats_; }
+  /// The options the tower was built with.
   const DynamicOptions& options() const { return opt_; }
 
  private:
-  /// Why a level has no valid sketch (selects the stats counter its next
-  /// sketch pass increments).
-  enum class Dirty : std::uint8_t { kNone, kCarry, kStale };
-
   struct Level {
     graph::EdgeArena exact;   ///< live edges of this level, original weights
     graph::EdgeArena sketch;  ///< cached reduce of `exact`; valid iff has_sketch
     bool occupied = false;
     bool has_sketch = false;
-    Dirty dirty = Dirty::kNone;
+    bool stale = false;  ///< sketch dropped for staleness: next pass re-reduces
     double weight_at_reduce = 0.0;  ///< exact total weight when sketch was built
     double deleted_weight = 0.0;    ///< weight deleted from it since
-    std::size_t batches = 0;        ///< tower batches this level covers
   };
 
   struct DirEntry {
@@ -217,39 +181,38 @@ class DynamicSparsifier {
 
   void apply_batch(const graph::UpdateBatch& batch);
   /// Land `batch` (may be empty) as a new level in the first free slot,
-  /// collapsing the tower first if the resident-level cap is exceeded.
-  void carry_inserts(graph::EdgeArena&& batch, std::size_t batch_count);
+  /// then collapse the tower if the resident-level cap is exceeded.
+  void carry_inserts(graph::EdgeArena&& batch);
+  /// Fill the free `slot` with an exact, sketchless segment and point the
+  /// directory entries of its edges at it.
+  void land(std::size_t slot, graph::EdgeArena&& edges);
   /// Collapse every occupied level into one exact segment (rebuilds++).
   void collapse_tower();
-  /// One parallel_sparsify_rounds pass over `level`'s exact segment.
+  /// One sparsify pass over `level`'s exact segment.
   void build_sketch(Level& level);
   /// Would a pass over this segment actually compress it? (Size and density
   /// gates: small or bundle-covered segments serve exact instead.)
   bool worth_sketching(const Level& level) const;
-  /// Point the directory entries of every edge in `arena` at `level`.
-  void relevel(const graph::EdgeArena& arena, std::size_t level);
   double staleness_charge(const Level& level) const;
-  std::size_t resident_edges() const;
+  /// Raise the peak-resident count to the gutter plus every held arena.
   void note_resident();
-  SparsifyOptions pass_options();
 
   graph::Vertex n_ = 0;
   DynamicOptions opt_;
-  double log_budget_ = 0.0;    ///< log(1 + epsilon)
-  double stale_budget_ = 0.0;  ///< staleness share of it
+  TowerPasses passes_;
+  double stale_budget_ = 0.0;  ///< staleness share of log(1 + epsilon)
   double eps_pass_ = 0.0;
-  std::uint64_t pass_seed_base_ = 0;
-  std::size_t passes_ = 0;
   graph::UpdateBatch gutter_;
   std::vector<Level> levels_;
   std::unordered_map<std::uint64_t, DirEntry> directory_;
   DynStats stats_;
 };
 
+/// A whole-stream run: the final checkpoint and the tower's counters.
 struct DynResult {
-  graph::Graph sparsifier;
-  double certified_epsilon = 0.0;
-  DynStats stats;
+  graph::Graph sparsifier;         ///< the final checkpoint's sparsifier
+  double certified_epsilon = 0.0;  ///< its certified bound
+  DynStats stats;                  ///< counters at the end of the run
 };
 
 /// Drive a whole update stream through a DynamicSparsifier and serve one

@@ -23,23 +23,25 @@
 
 namespace spar::sparsify {
 
+/// Settings of the low-stretch-tree incremental sparsifier.
 struct IncrementalOptions {
-  double epsilon = 1.0;
+  double epsilon = 1.0;  ///< target relative error of the sample
   /// Number of with-replacement samples; 0 = auto:
   /// ceil(sample_factor * total_stretch * log2(n) / eps^2).
   std::size_t num_samples = 0;
-  double sample_factor = 0.5;
-  std::uint64_t seed = 1;
-  spanner::LowStretchTreeOptions tree;
+  double sample_factor = 0.5;           ///< constant of the auto sample count
+  std::uint64_t seed = 1;               ///< sampling seed
+  spanner::LowStretchTreeOptions tree;  ///< the backbone tree's settings
 };
 
+/// The sparsifier and what the incremental sampler drew.
 struct IncrementalResult {
-  graph::Graph sparsifier;
-  std::size_t tree_edges = 0;
+  graph::Graph sparsifier;          ///< tree plus reweighted samples
+  std::size_t tree_edges = 0;       ///< edges of the low-stretch tree
   std::size_t off_tree_edges = 0;   ///< candidates
   std::size_t distinct_sampled = 0; ///< distinct off-tree edges kept
   double total_stretch = 0.0;       ///< sum of off-tree stretches
-  std::size_t samples_drawn = 0;
+  std::size_t samples_drawn = 0;    ///< with-replacement draws made
 };
 
 /// Requires a connected input graph.

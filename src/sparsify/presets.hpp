@@ -17,6 +17,7 @@
 
 namespace spar::sparsify {
 
+/// Which constants a PARALLELSAMPLE / PARALLELSPARSIFY run uses.
 enum class Preset {
   kTheory,     ///< paper constants; refuses nothing, but usually returns G itself
   kPractical,  ///< small bundle width; certified quality measured a posteriori

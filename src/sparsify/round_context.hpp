@@ -34,8 +34,10 @@
 
 namespace spar::sparsify {
 
+/// The arena, CSR scratch and verdict buffer one round loop reuses.
 class RoundContext {
  public:
+  /// Copy a Graph's edges in (boundary conversion).
   explicit RoundContext(const graph::Graph& g) : arena_(g) {}
 
   /// Adopt an already-populated arena (zero-copy entry for callers that never
@@ -43,10 +45,14 @@ class RoundContext {
   /// arenas and hands the result straight to the round loop).
   explicit RoundContext(graph::EdgeArena arena) : arena_(std::move(arena)) {}
 
+  /// The current edge universe; the round loop shrinks it in place.
   graph::EdgeArena& arena() { return arena_; }
+  /// Read-only view of the current edge universe.
   const graph::EdgeArena& arena() const { return arena_; }
 
+  /// Vertex count of the universe.
   graph::Vertex num_vertices() const { return arena_.num_vertices(); }
+  /// Edges left in the universe.
   std::size_t num_edges() const { return arena_.size(); }
 
   /// Rebuild the CSR scratch from the arena's active slab, reusing buffers.
@@ -67,12 +73,12 @@ class RoundContext {
 
 /// Statistics of one in-place PARALLELSAMPLE round.
 struct SampleRoundStats {
-  std::size_t edges_before = 0;
-  std::size_t edges_after = 0;
-  std::size_t bundle_edges = 0;
+  std::size_t edges_before = 0;      ///< universe size entering the round
+  std::size_t edges_after = 0;       ///< universe size leaving it
+  std::size_t bundle_edges = 0;      ///< edges the t-bundle kept outright
   std::size_t off_bundle_edges = 0;  ///< candidates for sampling
   std::size_t sampled_edges = 0;     ///< coin flips that kept the edge
-  std::size_t t_used = 0;
+  std::size_t t_used = 0;            ///< bundle width the round ran at
 };
 
 }  // namespace spar::sparsify

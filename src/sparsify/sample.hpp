@@ -24,6 +24,7 @@
 
 namespace spar::sparsify {
 
+/// What the bundle of a PARALLELSAMPLE round is built from.
 enum class BundleKind {
   kSpanner,  ///< Definition 1 bundles (the paper's algorithm)
   kTree,     ///< Remark 2: low-stretch-tree bundles

@@ -21,10 +21,11 @@
 
 namespace spar::sparsify {
 
+/// Pencil interval [lower, upper] of L_H against L_G.
 struct ApproxBounds {
   double lower = 0.0;  ///< largest a with a*L_G <= L_H
   double upper = 0.0;  ///< smallest b with L_H <= b*L_G
-  bool defined = false;
+  bool defined = false;  ///< false when the bounds could not be computed
 
   /// eps such that the pair certifies a (1 +- eps) approximation.
   double epsilon() const {
@@ -38,12 +39,13 @@ struct ApproxBounds {
 /// set, lower = 0 (the pencil degenerates), which correctly fails any eps.
 ApproxBounds exact_relative_bounds(const graph::Graph& g, const graph::Graph& h);
 
+/// Budget of the matrix-free certifier.
 struct CertOptions {
-  std::uint64_t seed = 17;
-  double tolerance = 1e-6;        ///< power-iteration Rayleigh tolerance
-  std::size_t max_iterations = 300;
-  double cg_tolerance = 1e-9;
-  std::size_t cg_max_iterations = 20000;
+  std::uint64_t seed = 17;                ///< start-vector seed
+  double tolerance = 1e-6;                ///< power-iteration Rayleigh tolerance
+  std::size_t max_iterations = 300;       ///< power-iteration steps per side
+  double cg_tolerance = 1e-9;             ///< relative residual of each inner solve
+  std::size_t cg_max_iterations = 20000;  ///< iteration cap of each inner solve
 };
 
 /// Matrix-free bounds via power iteration + CG. The returned values are

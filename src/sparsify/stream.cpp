@@ -1,12 +1,10 @@
 #include "sparsify/stream.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <utility>
 
-#include "sparsify/round_context.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace spar::sparsify {
 
@@ -17,77 +15,49 @@ using graph::Graph;
 namespace {
 
 constexpr std::uint64_t kStreamSeedTag = 0x73747265616dULL;  // "stream"
-constexpr std::uint64_t kWordsPerEdge = 3;                   // (u, v, w)
 
-std::size_t ceil_log2(std::size_t x) {
-  std::size_t bits = 0;
-  while (bits < 63 && (std::size_t{1} << bits) < x) ++bits;
-  return bits;
-}
-
-/// Sparsify passes an edge can take under a plan of `batches` batches with
-/// `cap` resident levels: up to ceil(log2 B) carries, one flush, one spare
-/// pass of headroom (the flush can land above the natural top), and -- when
-/// the cap is tighter than the natural tower height, so collapses actually
-/// fire -- one extra pass per collapse.
+/// Sparsify passes an edge can take under a plan of `batches` (>= 1) batches
+/// with `cap` (>= 1) resident levels: up to ceil(log2 B) carries, one flush,
+/// one spare pass of headroom (the flush can land above the natural top),
+/// and -- when the cap is tighter than the natural tower height, so
+/// collapses actually fire -- one extra pass per collapse.
 /// A collapse resets the tower to one sketch and the next needs cap more
 /// batches, so collapses <= batches / cap. With cap >= ceil(log2 B) + 1 the
 /// counter never overflows the cap and the budget is the pure log bound.
 std::size_t planned_depth(std::size_t batches, std::size_t cap) {
-  const std::size_t b = std::max<std::size_t>(batches, 1);
-  const std::size_t log_depth = ceil_log2(b) + 2;
-  if (cap >= ceil_log2(b) + 1) return log_depth;
-  return log_depth + b / std::max<std::size_t>(cap, 1);
+  const auto log_b = static_cast<std::size_t>(std::bit_width(batches - 1));
+  return log_b + 2 + (cap >= log_b + 1 ? 0 : batches / cap);
 }
 
-/// Per-level epsilon such that D composed (1 +- eps_level) approximations
-/// stay inside (1 +- eps): (1 + eps)^(1/D) - 1. Lower side holds because
-/// eps_level <= eps / D (concavity), see stream.hpp.
-double per_level_epsilon(double eps, std::size_t depth) {
-  return std::expm1(std::log1p(eps) / static_cast<double>(std::max<std::size_t>(depth, 1)));
-}
-
-/// Unknown-plan (bare push) schedule: the pass lifting edges to depth k
-/// spends a 2^-k fraction of the log-budget. Pass depths along any edge's
-/// history are strictly increasing, so the composed error stays inside
-/// (1 +- eps) for any stream length (see stream.hpp).
-double adaptive_pass_epsilon(double eps, std::size_t depth) {
-  const int k = static_cast<int>(std::min<std::size_t>(std::max<std::size_t>(depth, 1), 60));
-  return std::expm1(std::log1p(eps) * std::ldexp(1.0, -k));
+/// Batches a stream of `edges` edges fills at `batch_edges` per batch (>= 1).
+std::size_t batch_plan(std::size_t edges, std::size_t batch_edges) {
+  SPAR_CHECK(batch_edges > 0, "stream_sparsify: batch_edges must be positive");
+  return std::max<std::size_t>(1, (edges + batch_edges - 1) / batch_edges);
 }
 
 }  // namespace
 
 StreamSparsifier::StreamSparsifier(graph::Vertex num_vertices,
+                                   std::size_t planned_batches,
                                    const StreamOptions& options)
-    : n_(num_vertices), opt_(options) {
-  SPAR_CHECK(opt_.epsilon > 0.0, "stream_sparsify: epsilon must be positive");
-  SPAR_CHECK(opt_.rho >= 1.0, "stream_sparsify: rho must be >= 1");
+    : n_(num_vertices),
+      planned_batches_(planned_batches),
+      opt_(options),
+      passes_(options, kStreamSeedTag) {
+  SPAR_CHECK(planned_batches_ >= 1, "stream_sparsify: planned_batches must be >= 1");
   SPAR_CHECK(opt_.batch_edges > 0, "stream_sparsify: batch_edges must be positive");
   SPAR_CHECK(opt_.max_resident_levels >= 1,
              "stream_sparsify: max_resident_levels must be >= 1");
-  adaptive_budget_ = opt_.planned_batches == 0;
-  pass_seed_base_ = support::mix64(opt_.seed, kStreamSeedTag);
   report_.batch_edges = opt_.batch_edges;
-  if (!adaptive_budget_) {
-    report_.depth_planned = planned_depth(opt_.planned_batches, opt_.max_resident_levels);
-    report_.per_level_epsilon = per_level_epsilon(opt_.epsilon, report_.depth_planned);
-  }
-  // Bare push (planned_batches == 0): no up-front split -- each pass draws
-  // from the depth-keyed geometric schedule and finish() derives the plan
-  // from the real batch count.
-}
-
-std::size_t StreamSparsifier::resident_edges() const {
-  std::size_t total = 0;
-  for (const Level& level : levels_)
-    if (level.occupied) total += level.arena.size();
-  return total;
+  report_.depth_planned = planned_depth(planned_batches_, opt_.max_resident_levels);
+  report_.per_level_epsilon = budget_epsilon(opt_.epsilon, 1.0, report_.depth_planned);
 }
 
 void StreamSparsifier::note_resident(std::size_t extra) {
-  report_.peak_resident_edges =
-      std::max(report_.peak_resident_edges, resident_edges() + extra);
+  std::size_t total = extra;
+  for (const Level& level : levels_)
+    if (level.occupied) total += level.arena.size();
+  report_.peak_resident_edges = std::max(report_.peak_resident_edges, total);
 }
 
 void StreamSparsifier::reduce_into(std::size_t target, std::size_t top_level,
@@ -101,7 +71,7 @@ void StreamSparsifier::reduce_into(std::size_t target, std::size_t top_level,
   EdgeArena merged;
   std::size_t batches_covered = 0;
   std::size_t depth = 0;
-  double log_err = 0.0;
+  LogError error;
   for (std::size_t i = top_level + 1; i-- > 0;) {
     Level& level = levels_[i];
     if (!level.occupied) continue;
@@ -112,14 +82,10 @@ void StreamSparsifier::reduce_into(std::size_t target, std::size_t top_level,
       note_resident(batch_size + merged.size() + level.arena.size());
       merged.append(level.arena.view());
     }
-    level.arena.release();
-    level.occupied = false;
     batches_covered += level.batches;
     depth = std::max(depth, level.depth);
-    log_err = std::max(log_err, level.log_err);
-    level.batches = 0;
-    level.depth = 0;
-    level.log_err = 0.0;
+    error.join(level.error);
+    level = Level{};  // releases the arena and frees the slot
   }
   if (batch != nullptr) {
     if (merged.num_vertices() == 0 && merged.size() == 0) merged.resize(n_, 0);
@@ -129,36 +95,17 @@ void StreamSparsifier::reduce_into(std::size_t target, std::size_t top_level,
   // The caller's batch buffer coexists with its copy inside `merged`.
   note_resident(batch_size + merged.size());
 
-  report_.metrics.merge_edges += merged.size();
-  report_.metrics.merge_words += kWordsPerEdge * merged.size();
-
-  // One in-place PARALLELSPARSIFY round loop at the per-level budget; the
-  // pass seed is a pure function of (stream seed, pass index), and the pass
-  // sequence is a pure function of the arrival sequence. Every merged edge
-  // comes out at depth + 1, which keys the adaptive (unknown-plan) schedule.
-  const std::size_t pass_depth = depth + 1;
-  const double pass_epsilon = adaptive_budget_
-                                  ? adaptive_pass_epsilon(opt_.epsilon, pass_depth)
-                                  : report_.per_level_epsilon;
-  SparsifyOptions sopt;
-  sopt.epsilon = pass_epsilon;
-  sopt.rho = opt_.rho;
-  sopt.t = opt_.t;
-  sopt.keep_probability = opt_.keep_probability;
-  sopt.bundle_kind = opt_.bundle_kind;
-  sopt.seed = support::mix64(pass_seed_base_, ++passes_);
-  sopt.work = opt_.work;
-  RoundContext ctx(std::move(merged));
-  parallel_sparsify_rounds(ctx, sopt);
-
+  // One PARALLELSPARSIFY pass at the per-level budget; the pass sequence is
+  // a pure function of the arrival sequence.
   if (target >= levels_.size()) levels_.resize(target + 1);
   Level& dst = levels_[target];
-  dst.arena = std::move(ctx.arena());
+  dst.arena = passes_.reduce(std::move(merged), report_.per_level_epsilon);
   dst.batches = batches_covered;
-  dst.depth = pass_depth;
-  dst.log_err = log_err + std::log1p(pass_epsilon);
+  dst.depth = depth + 1;
+  dst.error = error.after_pass(report_.per_level_epsilon);
   dst.occupied = true;
-  max_log_err_ = std::max(max_log_err_, dst.log_err);
+  max_error_.join(dst.error);
+  report_.merge_edges = passes_.reduced_edges();
 
   report_.sparsify_calls += 1;
   if (report_.sparsify_calls_per_level.size() <= target)
@@ -175,22 +122,19 @@ void StreamSparsifier::ingest(const EdgeView& batch, EdgeArena* owned) {
   // A planned budget is split for exactly planned_batches batches; pushing
   // more would deepen the tower past depth_planned and silently void the
   // composed (1 +- eps) guarantee. Overflow is a caller bug, not a rescale.
-  SPAR_CHECK(adaptive_budget_ || report_.batches < opt_.planned_batches,
+  SPAR_CHECK(report_.batches < planned_batches_,
              "stream_sparsify: more batches pushed than planned_batches = " +
-                 std::to_string(opt_.planned_batches) +
-                 " (use planned_batches = 0 for unknown-length streams)");
+                 std::to_string(planned_batches_));
 
   report_.batches += 1;
-  report_.metrics.edges_ingested += batch.size;
-  report_.metrics.words_ingested += kWordsPerEdge * batch.size;
+  report_.edges_ingested += batch.size;
   note_resident(batch.size);
 
   // Binary-counter step with multiway carry: j = first free level; the batch
   // plus levels 0..j-1 (together <= 2^j batches) become the level-j sketch in
   // one pass. j == 0 lands the batch raw -- moved in when the tower owns the
   // buffer, copied otherwise.
-  std::size_t j = 0;
-  while (j < levels_.size() && levels_[j].occupied) ++j;
+  const std::size_t j = first_free_level(levels_);
   if (j == 0) {
     if (levels_.empty()) levels_.resize(1);
     Level& slot = levels_[0];
@@ -213,13 +157,10 @@ void StreamSparsifier::ingest(const EdgeView& batch, EdgeArena* owned) {
   // Resident-level cap: collapse the whole tower into one sketch above the
   // current top. Coverage stays <= 2^(top+1), so the level invariant holds,
   // and the collapse is one pass for every participating edge.
-  std::size_t occupied = 0, top = 0;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (!levels_[i].occupied) continue;
-    ++occupied;
-    top = i;
+  if (occupied_levels(levels_) > opt_.max_resident_levels) {
+    const std::size_t top = level_top(levels_);
+    reduce_into(top, top - 1, nullptr);
   }
-  if (occupied > opt_.max_resident_levels) reduce_into(top + 1, top, nullptr);
 }
 
 void StreamSparsifier::push_batch(const EdgeView& batch) { ingest(batch, nullptr); }
@@ -233,8 +174,7 @@ StreamResult StreamSparsifier::finish() {
   finished_ = true;
 
   StreamResult result;
-  std::size_t top = levels_.size();
-  while (top > 0 && !levels_[top - 1].occupied) --top;
+  const std::size_t top = level_top(levels_);
   if (top == 0) {
     result.sparsifier = Graph(n_);  // empty stream
   } else {
@@ -243,49 +183,29 @@ StreamResult StreamSparsifier::finish() {
     // the batch count was a power of two.
     reduce_into(top, top - 1, nullptr);
     result.sparsifier = levels_[top].arena.to_graph();
-    levels_[top].arena.release();
-    levels_[top].occupied = false;
+    levels_[top] = Level{};
   }
   report_.final_edges = result.sparsifier.num_edges();
-  if (adaptive_budget_) {
-    // The plan the run would have gotten had the batch count been known;
-    // the tower mechanics bound depth_used by it regardless of the budget
-    // schedule (same carries/flush/collapse counting as the planned mode).
-    report_.depth_planned =
-        planned_depth(std::max<std::size_t>(report_.batches, 1),
-                      opt_.max_resident_levels);
-    report_.per_level_epsilon =
-        report_.depth_used > 0
-            ? adaptive_pass_epsilon(opt_.epsilon, report_.depth_used)
-            : opt_.epsilon;
-  }
-  // Exact composed budget along the deepest merge chain (== the uniform
-  // depth_used * log1p(per-pass eps) in planned mode).
-  report_.epsilon_budget_used = std::expm1(max_log_err_);
+  // Exact composed budget along the deepest merge chain.
+  report_.epsilon_budget_used = max_error_.epsilon();
   result.report = report_;
   return result;
 }
 
 StreamResult stream_sparsify(const EdgeView& edges, const StreamOptions& options) {
-  StreamOptions opt = options;
-  if (opt.planned_batches == 0)
-    opt.planned_batches =
-        std::max<std::size_t>(1, (edges.size + opt.batch_edges - 1) / opt.batch_edges);
-  StreamSparsifier tower(edges.num_vertices, opt);
-  for (std::size_t at = 0; at < edges.size; at += opt.batch_edges)
-    tower.push_batch(edges.slab(at, std::min(edges.size, at + opt.batch_edges)));
+  StreamSparsifier tower(edges.num_vertices,
+                         batch_plan(edges.size, options.batch_edges), options);
+  for (std::size_t at = 0; at < edges.size; at += options.batch_edges)
+    tower.push_batch(edges.slab(at, std::min(edges.size, at + options.batch_edges)));
   return tower.finish();
 }
 
 StreamResult stream_sparsify(graph::EdgeStream& stream, const StreamOptions& options) {
-  StreamOptions opt = options;
-  if (opt.planned_batches == 0)
-    opt.planned_batches = std::max<std::size_t>(
-        1, (stream.num_edges() + opt.batch_edges - 1) / opt.batch_edges);
-  StreamSparsifier tower(stream.num_vertices(), opt);
+  StreamSparsifier tower(stream.num_vertices(),
+                         batch_plan(stream.num_edges(), options.batch_edges), options);
   for (;;) {
     EdgeArena batch;
-    if (stream.next_batch(batch, opt.batch_edges) == 0) break;
+    if (stream.next_batch(batch, options.batch_edges) == 0) break;
     tower.push_batch(std::move(batch));  // tower adopts: one resident copy
   }
   return tower.finish();

@@ -24,8 +24,9 @@
 //  * finish() concatenates the surviving levels and runs one last reduce:
 //    the final sparsifier plus a StreamReport.
 //
-// Epsilon budget: with B planned batches and cap resident levels, an edge
-// participates in at most D sparsify passes, where D = ceil(log2 B) + 2
+// Epsilon budget: the planned batch count B is a constructor argument (the
+// drivers derive it from the stream length). With cap resident levels an
+// edge participates in at most D sparsify passes, where D = ceil(log2 B) + 2
 // (up to ceil(log2 B) carries, the final flush, and one spare pass of
 // headroom for the flush landing above the natural top) when the cap is at
 // least the natural tower height ceil(log2 B) + 1, plus one pass per cap
@@ -35,19 +36,9 @@
 // at most (1 + eps_level)^D = 1 + eps on the upper side, and on the lower
 // side (1 - eps_level)^D >= 1 - D*eps_level >= 1 - eps since eps_level <=
 // eps/D by concavity. The report records both the planned depth and the
-// depth actually used. See DESIGN.md ("merge-and-reduce streaming tower").
-//
-// Unknown batch count (bare push API, planned_batches == 0): there is no D to
-// split by, and assuming a huge one (this code used to plan for 2^20 batches,
-// a ~22-deep split) starves every pass of budget no matter how short the
-// stream really is. Instead each pass draws from a geometric schedule keyed
-// by the depth it produces: the pass that lifts edges to depth k spends a
-// 2^-k fraction of the log-budget, log(1 + eps_k) = 2^-k log(1 + eps). An
-// edge's pass depths are strictly increasing, so its composed log-error is a
-// subset sum of {2^-1, 2^-2, ...} times log(1 + eps) -- below log(1 + eps)
-// for ANY stream length, with no up-front plan. finish() then derives
-// depth_planned from the real batch count and the report tracks the exact
-// composed budget along the deepest merge chain.
+// depth actually used; passes, seeds and the log-error bookkeeping run on
+// the shared tower core (tower.hpp). See DESIGN.md ("merge-and-reduce
+// streaming tower").
 //
 // Determinism: batch boundaries are a pure function of (source, batch_edges),
 // concatenation order is a pure function of the arrival sequence, and every
@@ -63,72 +54,55 @@
 #include "graph/edge_view.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
-#include "sparsify/sparsify.hpp"
+#include "sparsify/tower.hpp"
 
 namespace spar::sparsify {
 
-struct StreamOptions {
-  double epsilon = 0.5;  ///< end-to-end target; split per level (see header)
-  double rho = 4.0;      ///< per-reduce sparsification factor
-  /// Per-round bundle width of each reduce pass; 0 = theory value.
-  std::size_t t = 3;
-  double keep_probability = 0.25;
-  BundleKind bundle_kind = BundleKind::kSpanner;
-  std::uint64_t seed = 1;
+/// Stream tower settings: the shared pass settings plus the batch and
+/// resident-memory policy.
+struct StreamOptions : TowerOptions {
   /// Batch granularity: the unit of resident memory.
   std::size_t batch_edges = std::size_t{1} << 17;
-  /// Batches the eps budget is planned for. The stream drivers know the total
-  /// up front and set it; 0 = unknown (bare push API), which switches every
-  /// pass to the geometric depth-keyed budget schedule (see header comment)
-  /// and derives the report's depth_planned from the real count at finish().
-  std::size_t planned_batches = 0;
   /// Collapse the tower once more than this many level sketches are
   /// resident: peak memory ~ (cap sketches + 1 batch). A cap below the
   /// natural tower height ceil(log2 B) + 1 widens the planned depth by the
   /// collapse allowance B / cap (see planned_depth in stream.cpp) -- tighter
   /// memory is bought with epsilon budget.
   std::size_t max_resident_levels = 3;
-  support::WorkCounter* work = nullptr;
 };
 
-/// Wire-style accounting, mirroring dist::DistMetrics: an edge is a 3-word
-/// message (u, v, w), ingest is the stream's inbound traffic, merges are the
-/// words the tower moves internally.
-struct StreamMetrics {
-  std::uint64_t edges_ingested = 0;
-  std::uint64_t words_ingested = 0;   ///< 3 per ingested edge
-  std::uint64_t merge_edges = 0;      ///< edges entering reduce passes
-  std::uint64_t merge_words = 0;      ///< 3 per merged edge
-};
-
+/// What one streamed run did.
 struct StreamReport {
-  std::size_t batches = 0;
+  std::size_t batches = 0;         ///< batches pushed
   std::size_t batch_edges = 0;     ///< granularity the run used
   std::size_t levels_used = 0;     ///< highest occupied level + 1, over the run
   std::size_t depth_planned = 0;   ///< sparsify passes budgeted per edge
   std::size_t depth_used = 0;      ///< passes the deepest edge actually took
-  /// Uniform per-pass eps when the batch count was planned; in bare-push
-  /// (unknown-plan) mode, the eps of the deepest pass actually run.
-  double per_level_epsilon = 0.0;
+  double per_level_epsilon = 0.0;  ///< uniform per-pass eps of the plan
   /// Exact composed budget along the deepest merge chain:
   /// exp(max over levels of sum of log(1 + pass eps)) - 1. Always <= epsilon.
   double epsilon_budget_used = 0.0;
-  std::size_t sparsify_calls = 0;
+  std::size_t sparsify_calls = 0;  ///< reduce passes run
   std::vector<std::size_t> sparsify_calls_per_level;  ///< by target level
   std::size_t peak_resident_edges = 0;  ///< max simultaneously held edges
-  std::size_t final_edges = 0;
-  StreamMetrics metrics;
+  std::size_t final_edges = 0;          ///< edges of the final sparsifier
+  std::uint64_t edges_ingested = 0;     ///< edges pushed: the inbound traffic
+  std::uint64_t merge_edges = 0;        ///< edges entering reduce passes
 };
 
+/// The final sparsifier of a streamed run and its report.
 struct StreamResult {
-  graph::Graph sparsifier;
-  StreamReport report;
+  graph::Graph sparsifier;  ///< flushed tower output
+  StreamReport report;      ///< what the run did
 };
 
 /// Incremental push API: feed batches, then finish() exactly once.
 class StreamSparsifier {
  public:
-  StreamSparsifier(graph::Vertex num_vertices, const StreamOptions& options);
+  /// The eps budget is split for exactly `planned_batches` (>= 1) batches;
+  /// pushing more throws.
+  StreamSparsifier(graph::Vertex num_vertices, std::size_t planned_batches,
+                   const StreamOptions& options);
 
   /// Fold the next batch of the stream into the tower. Batches must share the
   /// constructor's vertex count; the view is copied, the caller's buffer can
@@ -151,11 +125,11 @@ class StreamSparsifier {
     graph::EdgeArena arena;
     std::size_t batches = 0;  ///< batches covered; <= 2^level
     std::size_t depth = 0;    ///< max sparsify passes any contained edge took
-    double log_err = 0.0;     ///< max composed log(1 + eps) along any edge's passes
+    LogError error;           ///< max composed error along any edge's passes
     bool occupied = false;
   };
 
-  std::size_t resident_edges() const;
+  /// Raise the peak-resident count to the held levels plus `extra` edges.
   void note_resident(std::size_t extra);
   /// Shared core of both push_batch overloads; `owned` non-null when the
   /// tower may adopt the batch's buffers.
@@ -166,19 +140,19 @@ class StreamSparsifier {
                    const graph::EdgeView* batch);
 
   graph::Vertex n_ = 0;
+  std::size_t planned_batches_ = 0;
   StreamOptions opt_;
-  bool adaptive_budget_ = false;  ///< planned_batches == 0: depth-keyed eps
-  double max_log_err_ = 0.0;      ///< deepest composed log(1 + eps) so far
-  std::uint64_t pass_seed_base_ = 0;
-  std::size_t passes_ = 0;
+  TowerPasses passes_;
+  LogError max_error_;  ///< deepest composed error so far
   std::vector<Level> levels_;
   StreamReport report_;
   bool finished_ = false;
 };
 
 /// Sparsify a resident edge set through the streaming tower (slab-order
-/// batches of options.batch_edges). Decoupled-memory semantics aside, this is
-/// the reference the file drivers must match bit for bit.
+/// batches of options.batch_edges, planned for exactly that many batches).
+/// Decoupled-memory semantics aside, this is the reference the file drivers
+/// must match bit for bit.
 StreamResult stream_sparsify(const graph::EdgeView& edges, const StreamOptions& options);
 
 /// Drive the tower from any batched edge source.

@@ -148,6 +148,17 @@ TEST(DynamicSparsify, TurnstileViolationsAreDiagnosed) {
         d.push_delete(0, 1);
       },
       "delete of absent");
+  violation(
+      [](DynamicSparsifier& d) {  // was read as a delete of the live {0, 1}
+        UpdateBatch bad;
+        bad.num_vertices = 8;
+        bad.push_insert(2, 3, 1.0);
+        bad.push_insert(4, 5, 1.0);
+        bad.push_delete(0, 1);
+        bad.op[2] = 7;
+        d.apply(bad);
+      },
+      "unknown update opcode");
 }
 
 TEST(DynamicSparsify, RejectsBadOptions) {
@@ -160,10 +171,8 @@ TEST(DynamicSparsify, RejectsBadOptions) {
   expect_bad([](DynamicOptions& o) { o.epsilon = 0.0; });
   expect_bad([](DynamicOptions& o) { o.rho = 0.5; });
   expect_bad([](DynamicOptions& o) { o.keep_probability = 0.0; });
+  expect_bad([](DynamicOptions& o) { o.keep_probability = 1.5; });
   expect_bad([](DynamicOptions& o) { o.batch_updates = 0; });
-  expect_bad([](DynamicOptions& o) { o.max_staleness = 0.0; });
-  expect_bad([](DynamicOptions& o) { o.staleness_eps_share = 1.0; });
-  expect_bad([](DynamicOptions& o) { o.rebuild_fraction = 0.0; });
 }
 
 TEST(DynamicSparsify, LiveGraphTracksTheSurvivingMultiset) {
@@ -186,8 +195,7 @@ TEST(DynamicSparsify, StatsAndEpsAccountingAreInternallyConsistent) {
   const DynStats& s = dyn.stats();
 
   EXPECT_EQ(s.metrics.updates_ingested, u.size());
-  EXPECT_EQ(s.metrics.words_ingested, 3 * u.size());
-  EXPECT_EQ(s.metrics.reduce_words, 3 * s.metrics.reduce_edges);
+  EXPECT_GT(s.metrics.reduce_edges, 0u);  // at least one sketch pass ran
   EXPECT_EQ(s.inserts_applied - s.deletes_applied, s.live_edges);
   EXPECT_EQ(s.inserts_applied + s.deletes_applied + 2 * s.cancelled_pairs,
             u.size());
@@ -198,9 +206,9 @@ TEST(DynamicSparsify, StatsAndEpsAccountingAreInternallyConsistent) {
   EXPECT_GE(s.levels_used, 1u);
   EXPECT_GE(s.carry_reduces + s.re_reduces, 1u);
 
-  // The advertised budget split: every pass runs at (1+eps)^((1-s)/2) - 1.
-  const double expected_pass =
-      std::expm1(0.5 * (1.0 - opt.staleness_eps_share) * std::log1p(opt.epsilon));
+  // The advertised budget split: every pass runs at (1+eps)^((1-s)/2) - 1
+  // with the staleness share s = 1/4.
+  const double expected_pass = std::expm1(0.375 * std::log1p(opt.epsilon));
   EXPECT_DOUBLE_EQ(s.per_pass_epsilon, expected_pass);
   EXPECT_LE(cp.certified_epsilon, opt.epsilon + 1e-12);
   EXPECT_EQ(s.max_composed_epsilon, cp.certified_epsilon);
@@ -238,22 +246,6 @@ TEST(DynamicSparsify, CheckpointIsNonDestructiveAndRepeatable) {
             passes_after_first);
   EXPECT_EQ(edge_multiset_hash(a.sparsifier), edge_multiset_hash(b.sparsifier));
   EXPECT_EQ(a.certified_epsilon, b.certified_epsilon);
-}
-
-TEST(DynamicSparsify, CompactCheckpointsAlsoCertify) {
-  const Graph g = graph::randomize_weights(graph::complete_graph(100), 0.5, 17);
-  const UpdateBatch u = graph::synthesize_updates(g, 0.2, 7);
-  DynamicOptions opt = base_options(2000);
-  opt.compact_checkpoints = true;
-  DynamicSparsifier dyn(g.num_vertices(), opt);
-  dyn.apply(u);
-  const DynCheckpoint cp = dyn.checkpoint();
-  EXPECT_LE(cp.certified_epsilon, opt.epsilon + 1e-12);
-  const Graph live = dyn.live_graph();
-  const ApproxBounds bounds = exact_relative_bounds(live, cp.sparsifier);
-  ASSERT_TRUE(bounds.defined);
-  EXPECT_GT(bounds.lower, 1.0 - opt.epsilon);
-  EXPECT_LT(bounds.upper, 1.0 + opt.epsilon);
 }
 
 TEST(DynamicSparsify, RebuildCollapsesTheTowerAndStillCertifies) {

@@ -99,10 +99,10 @@ std::vector<Workload> workloads() {
 /// One sweep cell: drive the update stream, checkpoint at roughly 1/3, 2/3
 /// and the end, certify each checkpoint against both oracles.
 void run_cell(const Workload& wl, double delete_fraction, std::size_t batch_updates,
-              std::uint64_t seed, bool compact) {
+              std::uint64_t seed) {
   SCOPED_TRACE(::testing::Message()
                << wl.name << " f=" << delete_fraction << " batch=" << batch_updates
-               << " seed=" << seed << (compact ? " compact" : ""));
+               << " seed=" << seed);
   const UpdateBatch u = graph::synthesize_updates(wl.g, delete_fraction, seed);
 
   DynamicOptions opt;
@@ -112,7 +112,6 @@ void run_cell(const Workload& wl, double delete_fraction, std::size_t batch_upda
   opt.seed = seed;
   opt.batch_updates = batch_updates;
   opt.sketch_min_edges = 256;
-  opt.compact_checkpoints = compact;
 
   DynamicSparsifier dyn(wl.g.num_vertices(), opt);
   const std::size_t marks[] = {u.size() / 3, (2 * u.size()) / 3, u.size()};
@@ -160,8 +159,7 @@ TEST_P(DynamicOracle, CheckpointsMatchFromScratchOracles) {
   const std::size_t batch_sizes[] = {150, 2000, std::size_t{1} << 16};
   for (const Workload& wl : workloads())
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-      run_cell(wl, fraction, batch_sizes[seed - 1], seed,
-               /*compact=*/seed == 3);
+      run_cell(wl, fraction, batch_sizes[seed - 1], seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(DeleteFractions, DynamicOracle,
