@@ -65,6 +65,10 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # streamed build fails to undercut the dense peak resident product.
 "$build_dir/bench/bench_chain" --quick=1
 
+# Solver smoke: bench_solver (E7) exits nonzero if chain-pcg, plain CG,
+# Jacobi-PCG or multigrid misses its 1e-8 tolerance on any row.
+"$build_dir/bench/bench_solver" --quick=1
+
 # Dynamic smoke: bench_dynamic exits nonzero if the incremental tower's live
 # graph disagrees with the replayed survivor multiset, a checkpoint's
 # certified eps exceeds the budget, a small-config checkpoint certifies

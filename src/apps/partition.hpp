@@ -56,7 +56,6 @@ struct FiedlerOptions {
   /// Defaults tighten the inner solve and chain against the app's needs.
   FiedlerOptions() {
     solve.tolerance = 1e-10;
-    solve.chain.max_levels = 10;
     solve.chain.rho = 8.0;
     solve.chain.t = 1;
   }

@@ -1,5 +1,10 @@
 #include "solver/chain.hpp"
 
+#include <algorithm>
+#include <cmath>
+
+#include "graph/union_find.hpp"
+#include "linalg/eigen_iterative.hpp"
 #include "solver/squaring.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -8,16 +13,89 @@ namespace spar::solver {
 
 using linalg::Vector;
 
+namespace {
+
+/// Lanczos steps per dominance estimate. Ritz values approach the radius
+/// from below, slowest where it is near 1; 30 steps resolve the levels where
+/// the progress test below is armed.
+constexpr std::size_t kLanczosSteps = 30;
+/// A level "squares" the estimate when gamma <= gamma_prev^kProgressExponent
+/// (exact squaring would give exponent 2). The first level that fails this
+/// ends the chain: deeper levels only add build and apply cost.
+constexpr double kProgressExponent = 1.5;
+/// The progress test is armed only once gamma_prev <= kProgressGuard. Near 1
+/// the Lanczos estimate undershoots by more than one squaring step moves it,
+/// so an unguarded test stops ill-conditioned chains after a level or two.
+constexpr double kProgressGuard = 0.9;
+/// Seed tag of the per-level Lanczos start vector (independent of the
+/// sparsifier coins, which use mix64(seed, level + 1)).
+constexpr std::uint64_t kDominanceSeedTag = 0x6c616e637a6f73ULL;
+
+}  // namespace
+
+DeflatedDominance deflated_dominance(const SDDMatrix& m,
+                                     const linalg::CSRMatrix& adjacency,
+                                     std::uint64_t seed) {
+  const std::size_t n = m.dimension();
+  const Vector& d = m.diagonal();
+  const Vector& slack = m.slack();
+
+  // Components of the graph part; those without slack span the nullspace.
+  graph::UnionFind uf(n);
+  for (const graph::Edge& e : m.graph_part().edges()) uf.unite(e.u, e.v);
+  std::vector<std::size_t> root(n);
+  std::vector<double> root_slack(n, 0.0), volume(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    root[i] = uf.find(i);
+    root_slack[root[i]] += slack[i];
+    volume[root[i]] += d[i];
+  }
+
+  // q_C = D^{1/2} 1_C / ||D^{1/2} 1_C|| on each zero-slack component C,
+  // stored entrywise (0 on every other component).
+  DeflatedDominance result;
+  Vector q(n, 0.0), inv_sqrt_d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    inv_sqrt_d[i] = 1.0 / std::sqrt(d[i]);
+    if (root_slack[root[i]] != 0.0) continue;
+    q[i] = std::sqrt(d[i] / volume[root[i]]);
+    if (root[i] == i) ++result.deflated_components;
+  }
+
+  // x <- x - sum_C <q_C, x> q_C. The q_C have disjoint supports, so one
+  // serial pass accumulates every coefficient, each in vertex order.
+  std::vector<double> coef(n);
+  const auto deflate = [&](std::span<double> x) {
+    std::fill(coef.begin(), coef.end(), 0.0);
+    for (std::size_t i = 0; i < n; ++i) coef[root[i]] += q[i] * x[i];
+    for (std::size_t i = 0; i < n; ++i) x[i] -= coef[root[i]] * q[i];
+  };
+
+  // P D^{-1/2} A D^{-1/2} P: symmetric, with the deflated directions mapped
+  // to 0, so its extreme Ritz values bound the radius on the complement.
+  Vector scaled(n);
+  const linalg::LinearOperator op{
+      n, [&](std::span<const double> x, std::span<double> y) {
+        linalg::copy(x, scaled);
+        deflate(scaled);
+        for (std::size_t i = 0; i < n; ++i) scaled[i] *= inv_sqrt_d[i];
+        adjacency.multiply(scaled, y);
+        for (std::size_t i = 0; i < n; ++i) y[i] *= inv_sqrt_d[i];
+        deflate(y);
+      }};
+  const linalg::LanczosResult ritz =
+      linalg::lanczos_extreme(op, seed, kLanczosSteps);
+  result.gamma = std::max(std::abs(ritz.min_eigenvalue), std::abs(ritz.max_eigenvalue));
+  return result;
+}
+
 InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
   jacobi_steps_ = options.last_level_jacobi_steps;
   project_constant_ = m.is_singular();
 
   SDDMatrix current = std::move(m);
+  double previous_gamma = 1.0;
   for (std::size_t level = 0; level < options.max_levels; ++level) {
-    ChainLevelInfo info;
-    info.edges = current.graph_part().num_edges();
-    info.gamma = adjacency_dominance(current);
-
     Level stored;
     stored.matrix = current;
     stored.adjacency = current.adjacency_csr();
@@ -27,14 +105,27 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
       SPAR_CHECK(d[i] > 0.0, "InverseChain: zero diagonal");
       stored.inv_diagonal[i] = 1.0 / d[i];
     }
+
+    ChainLevelInfo info;
+    info.edges = current.graph_part().num_edges();
+    const DeflatedDominance dominance = deflated_dominance(
+        current, stored.adjacency,
+        support::mix64(options.seed ^ kDominanceSeedTag, level));
+    info.gamma = dominance.gamma;
+    info.deflated_components = dominance.deflated_components;
     levels_.push_back(std::move(stored));
     info_.push_back(info);
 
-    // Termination: Jacobi handles the rest once off-diagonal mass is small.
-    // Singular Laplacians keep gamma == 1 (the nullspace direction never
-    // decays), so they terminate by max_levels / saturation instead; the
-    // chain is then used as a PCG preconditioner with constant projection.
+    // Termination: Jacobi handles the rest once the deflated dominance is
+    // small, and a level that no longer squares it is the last one worth
+    // storing (sparsified levels level off near the per-level epsilon). A
+    // singular input keeps its nullspace at every level; the chain is then
+    // used as a PCG preconditioner with constant projection.
     if (info.gamma <= options.gamma_stop) break;
+    if (previous_gamma <= kProgressGuard &&
+        info.gamma > std::pow(previous_gamma, kProgressExponent))
+      break;
+    previous_gamma = info.gamma;
     if (current.graph_part().num_edges() == 0) break;
 
     // Pick the squaring path BEFORE committing product memory: the symbolic

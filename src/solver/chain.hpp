@@ -20,6 +20,13 @@
 // materialized then sparsified; above it the sparsifier is fused into the
 // SpGEMM, so the product streams through a bounded-memory tower and is never
 // resident.
+//
+// Where the chain stops: Theorem 6 needs depth O(log kappa), with kappa
+// measured away from the nullspace. Each level therefore estimates the
+// spectral radius of D^{-1/2} A D^{-1/2} after deflating D^{1/2} 1_C for
+// every connected component C without slack (deflated_dominance). The chain
+// stops once that estimate is at most gamma_stop, or once a level no longer
+// squares it (sparsified levels level off near the per-level epsilon).
 #pragma once
 
 #include <cstdint>
@@ -44,12 +51,19 @@ struct ChainOptions {
   /// Sparsify a level only when its graph part has more than
   /// edge_factor * n edges (the "threshold of applicability" m').
   double edge_factor = 4.0;
-  /// Hard cap on chain depth (singular Laplacians terminate here: their
-  /// gamma never decays).
-  std::size_t max_levels = 24;
-  /// Stop when adjacency dominance gamma = max_i rowsum(A)/D drops below
-  /// this (Jacobi converges at rate gamma on the last level).
-  double gamma_stop = 0.25;
+  /// Hard cap on chain depth. The stopping rule below ends most chains
+  /// before it; the 160x160 and 240x240 grids of E18 and E13 reach it, and
+  /// there a deeper chain loses:
+  /// each level's sparsifier error compounds faster than the smaller tail
+  /// radius helps (DESIGN.md, "Where the chain stops").
+  std::size_t max_levels = 10;
+  /// Stop when the level's deflated dominance (see deflated_dominance) is at
+  /// most this: the last level's Jacobi sweeps contract at that rate. The
+  /// chain also stops, whatever this is, at the first level that no longer
+  /// squares the previous level's estimate. 0.95 is the shallowest setting
+  /// measured to keep PCG iterations flat (DESIGN.md §6): as a PCG
+  /// preconditioner, a weak tail costs less than more sparsified levels.
+  double gamma_stop = 0.95;
   /// Damped Jacobi sweeps on the last level (where gamma is small enough
   /// that a few sweeps solve the remaining system).
   std::size_t last_level_jacobi_steps = 12;
@@ -74,7 +88,10 @@ struct ChainOptions {
 struct ChainLevelInfo {
   std::size_t edges_after_square = 0;  ///< 0 for the input level
   std::size_t edges = 0;               ///< stored (possibly sparsified) edges
-  double gamma = 0.0;                  ///< adjacency dominance at this level
+  /// Deflated dominance at this level: the quantity the stopping rule tested.
+  double gamma = 0.0;
+  /// Zero-slack connected components deflated when estimating gamma.
+  std::size_t deflated_components = 0;
   /// Symbolic fill bound of this level's square (what the path choice
   /// compared against streamed_fill_threshold).
   std::size_t projected_fill = 0;
@@ -86,12 +103,32 @@ struct ChainLevelInfo {
   double epsilon_budget_used = 0.0;  ///< composed tower eps (streamed only)
 };
 
+/// The chain's convergence measure at one level (see deflated_dominance).
+struct DeflatedDominance {
+  /// Estimated spectral radius of D^{-1/2} A D^{-1/2} off the deflated
+  /// directions (a Lanczos Ritz value: at most the true radius).
+  double gamma = 0.0;
+  /// Connected components whose slack sums to zero, each deflated.
+  std::size_t deflated_components = 0;
+};
+
+/// Spectral radius of D^{-1/2} A D^{-1/2} on the complement of the vectors
+/// D^{1/2} 1_C, one per connected component C of m's graph part whose slack
+/// sums to zero (the nullspace of m, where the radius is exactly 1). Found
+/// by a fixed number of Lanczos steps from a start vector drawn from `seed`;
+/// `adjacency` must be m.adjacency_csr(). Deterministic for fixed inputs
+/// across thread counts.
+DeflatedDominance deflated_dominance(const SDDMatrix& m,
+                                     const linalg::CSRMatrix& adjacency,
+                                     std::uint64_t seed);
+
 /// The Peng-Spielman approximate inverse chain of an SDD matrix; apply() is
 /// a symmetric PSD approximation of M^{-1}, used as a PCG preconditioner.
 class InverseChain {
  public:
-  /// Builds the chain for `m`. Levels stop at gamma_stop, max_levels, or when
-  /// squaring stops changing anything.
+  /// Builds the chain for `m`. Levels stop once the deflated dominance is at
+  /// most gamma_stop, once a level no longer squares it, when a level has no
+  /// edges left, or at max_levels.
   InverseChain(SDDMatrix m, const ChainOptions& options);
 
   /// Number of stored levels (>= 1).

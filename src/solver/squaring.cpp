@@ -231,14 +231,4 @@ std::size_t projected_square_fill(const SDDMatrix& m) {
   return total;
 }
 
-double adjacency_dominance(const SDDMatrix& m) {
-  const Vector degree = linalg::degree_vector(m.graph_part());
-  const Vector& d = m.diagonal();
-  double gamma = 0.0;
-  for (std::size_t i = 0; i < m.dimension(); ++i) {
-    if (d[i] > 0.0) gamma = std::max(gamma, degree[i] / d[i]);
-  }
-  return gamma;
-}
-
 }  // namespace spar::solver

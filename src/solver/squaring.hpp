@@ -94,9 +94,4 @@ SDDMatrix square_streamed(const SDDMatrix& m, const StreamedSquareOptions& optio
 /// any product memory is committed to pick square() or square_streamed().
 std::size_t projected_square_fill(const SDDMatrix& m);
 
-/// Convergence measure for the chain: gamma(M) = max_i (sum_j A_ij) / D_ii.
-/// Squaring drives gamma -> gamma^2-ish; the chain terminates once
-/// gamma <= threshold, where a diagonal/Jacobi solve is accurate.
-double adjacency_dominance(const SDDMatrix& m);
-
 }  // namespace spar::solver

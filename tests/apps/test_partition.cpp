@@ -244,10 +244,12 @@ TEST(PartitionDeterminism, GoldenHashAcrossThreadCounts) {
   // vector is bit-identical for any thread count and for the OpenMP-off
   // build. The golden value pins the x86-64 gcc Release build at fixed
   // (graph, seed); re-record via BUILDING.md ("Re-baselining") after
-  // deliberate algorithm changes.
+  // deliberate algorithm changes. Last moved when the chain began stopping
+  // on the deflated dominance (0xe68e634ac27bd591 before): a shallower
+  // chain preconditions the inner solves differently.
   const Graph g = graph::randomize_weights(graph::grid2d(16, 16), 2.0, 5);
 
-  constexpr std::uint64_t kGoldenHash = 0xe68e634ac27bd591ULL;
+  constexpr std::uint64_t kGoldenHash = 0x996c3d048cb11f25ULL;
 
   for (const int threads : {1, 2, 4}) {
     support::par::ThreadLimit limit(threads);

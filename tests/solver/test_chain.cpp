@@ -5,6 +5,10 @@
 #include <cmath>
 
 #include "graph/generators.hpp"
+#include "linalg/dense.hpp"
+#include "solver/solver.hpp"
+#include "solver/squaring.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -142,6 +146,162 @@ TEST(InverseChain, SparsificationCapsLevelGrowth) {
   const double cap = 14.0 * opt.edge_factor * double(m.dimension());
   for (const auto& info : chain.level_info())
     EXPECT_LT(double(info.edges), cap);
+}
+
+// Radius of D^{-1/2} A D^{-1/2} off span{D^{1/2} 1_C : C has no slack},
+// from a dense eigendecomposition: the exact value deflated_dominance
+// estimates. `deflated` is the number of zero-slack components.
+double dense_deflated_radius(const SDDMatrix& m, std::size_t deflated) {
+  const std::size_t n = m.dimension();
+  const Vector& d = m.diagonal();
+  linalg::DenseMatrix s(n, n);
+  for (const graph::Edge& e : m.graph_part().edges()) {
+    const double v = e.w / std::sqrt(d[e.u] * d[e.v]);
+    s.at(e.u, e.v) += v;
+    s.at(e.v, e.u) += v;
+  }
+  Vector eig = linalg::symmetric_eigenvalues(s);  // ascending
+  // Each zero-slack component contributes one eigenvalue exactly 1 (its
+  // D^{1/2} 1_C); drop that many from the top.
+  for (std::size_t c = 0; c < deflated; ++c) {
+    EXPECT_NEAR(eig.back(), 1.0, 1e-10);
+    eig.pop_back();
+  }
+  return std::max(std::abs(eig.front()), std::abs(eig.back()));
+}
+
+TEST(DeflatedDominance, LaplacianIsOne) {
+  // Deflating the constant leaves an even cycle's alternating vector, whose
+  // eigenvalue is -1: the radius stays 1 until a squaring splits the classes.
+  const SDDMatrix m(graph::cycle_graph(6));
+  const DeflatedDominance est = deflated_dominance(m, m.adjacency_csr(), 1);
+  EXPECT_EQ(est.deflated_components, 1u);
+  EXPECT_NEAR(est.gamma, 1.0, 1e-12);
+}
+
+TEST(DeflatedDominance, SlackReducesGamma) {
+  const Graph g = graph::cycle_graph(6);
+  const SDDMatrix m(g, Vector(6, 2.0));  // degree 2, slack 2 => gamma = 0.5
+  const DeflatedDominance est = deflated_dominance(m, m.adjacency_csr(), 1);
+  EXPECT_EQ(est.deflated_components, 0u);
+  EXPECT_NEAR(est.gamma, 0.5, 1e-12);
+}
+
+TEST(DeflatedDominance, SquaringReducesGammaForNonsingular) {
+  const Graph g = graph::grid2d(7, 7);
+  const SDDMatrix m(g, Vector(g.num_vertices(), 1.0));
+  const SDDMatrix squared = square(m);
+  const double before = deflated_dominance(m, m.adjacency_csr(), 1).gamma;
+  const double after = deflated_dominance(squared, squared.adjacency_csr(), 1).gamma;
+  EXPECT_LT(after, before);
+}
+
+TEST(DeflatedDominance, CoversBothBipartitionClassesOfSquaredGrid) {
+  // One squaring splits a grid into its two bipartition classes, each a
+  // zero-slack component: both must be deflated, or the radius reads 1.
+  const SDDMatrix squared = square(SDDMatrix(graph::grid2d(8, 8)));
+  ASSERT_TRUE(squared.is_singular());
+  const DeflatedDominance est =
+      deflated_dominance(squared, squared.adjacency_csr(), 5);
+  EXPECT_EQ(est.deflated_components, 2u);
+  const double exact = dense_deflated_radius(squared, 2);
+  EXPECT_LT(exact, 0.99);
+  EXPECT_LE(est.gamma, exact + 1e-9);  // a Ritz value never overshoots
+  EXPECT_NEAR(est.gamma, exact, 1e-6);
+}
+
+TEST(DeflatedDominance, DeflatesZeroSlackClassOfGroundedSquaredGrid) {
+  // Grounding one vertex of the squared grid leaves the other class without
+  // slack: the matrix is nonsingular, yet that class still has radius 1 and
+  // must be deflated on its own.
+  const SDDMatrix squared = square(SDDMatrix(graph::grid2d(8, 8)));
+  Vector slack(squared.dimension(), 0.0);
+  slack[0] = 1.0;
+  const SDDMatrix grounded(squared.graph_part(), slack);
+  ASSERT_FALSE(grounded.is_singular());
+  const DeflatedDominance est =
+      deflated_dominance(grounded, grounded.adjacency_csr(), 5);
+  EXPECT_EQ(est.deflated_components, 1u);
+  const double exact = dense_deflated_radius(grounded, 1);
+  EXPECT_LT(exact, 0.999);
+  EXPECT_LE(est.gamma, exact + 1e-9);
+  EXPECT_NEAR(est.gamma, exact, 1e-6);
+}
+
+TEST(DeflatedDominance, ChainReportsDeflationPerLevel) {
+  // Level 0 of a connected Laplacian deflates its one component; every
+  // squared level deflates both bipartition classes.
+  const SDDMatrix m(graph::generate_spec("wgrid:32x32"));
+  const InverseChain chain(m, ChainOptions{});
+  const auto& info = chain.level_info();
+  ASSERT_GE(info.size(), 2u);
+  EXPECT_EQ(info.front().deflated_components, 1u);
+  for (std::size_t i = 1; i < info.size(); ++i)
+    EXPECT_EQ(info[i].deflated_components, 2u) << "level " << i;
+}
+
+TEST(InverseChain, SingularGridChainStopsEarlyAndConverges) {
+  // The undeflated dominance of a Laplacian is 1 at every level, which ran
+  // every singular chain to its depth cap; the deflated test stops it once
+  // the tail is good enough, with no loss in PCG iterations.
+  const SDDMatrix m(graph::generate_spec("wgrid:32x32"));
+  const ChainOptions opt;
+  const InverseChain chain(m, opt);
+  EXPECT_LE(chain.num_levels(), 8u);
+  EXPECT_LT(chain.num_levels(), opt.max_levels);
+  EXPECT_LE(chain.level_info().back().gamma, opt.gamma_stop);
+
+  support::Rng rng(21);
+  Vector b(m.dimension());
+  for (double& v : b) v = rng.normal();
+  linalg::remove_mean(b);
+  const SolveReport report = solve_sdd(m, chain, b);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LE(report.iterations, 12u);
+}
+
+TEST(InverseChain, StopsWhereLevelsNoLongerSquareGamma) {
+  // With gamma_stop below what a sparsified level can reach (~0.27-0.39 at
+  // level_epsilon 0.5), only the progress test ends the chain.
+  const SDDMatrix m(graph::generate_spec("wgrid:32x32"));
+  ChainOptions opt;
+  opt.gamma_stop = 0.1;
+  opt.max_levels = 24;
+  const InverseChain chain(m, opt);
+  const auto& info = chain.level_info();
+  ASSERT_GE(info.size(), 2u);
+  EXPECT_LT(info.size(), 16u);
+  EXPECT_GT(info.back().gamma, opt.gamma_stop);
+  // The last level failed to square its predecessor's estimate.
+  const double prev = info[info.size() - 2].gamma;
+  EXPECT_LE(prev, 0.9);
+  EXPECT_GT(info.back().gamma, prev * prev);
+
+  support::Rng rng(22);
+  Vector b(m.dimension());
+  for (double& v : b) v = rng.normal();
+  linalg::remove_mean(b);
+  SolveOptions sopt;
+  sopt.chain = opt;
+  const SolveReport report = solve_sdd(m, chain, b, sopt);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LE(report.iterations, 12u);
+}
+
+TEST(InverseChain, DepthAndGammaEqualAcrossThreadCounts) {
+  const SDDMatrix m(graph::generate_spec("wgrid:32x32"));
+  std::vector<ChainLevelInfo> reference;
+  for (const int threads : {1, 2, 4}) {
+    support::par::ThreadLimit limit(threads);
+    const InverseChain chain(m, ChainOptions{});
+    const auto& info = chain.level_info();
+    if (reference.empty()) reference = info;
+    ASSERT_EQ(info.size(), reference.size()) << threads << " threads";
+    for (std::size_t i = 0; i < info.size(); ++i) {
+      EXPECT_EQ(info[i].gamma, reference[i].gamma) << threads << " threads, level " << i;
+      EXPECT_EQ(info[i].edges, reference[i].edges) << threads << " threads, level " << i;
+    }
+  }
 }
 
 TEST(InverseChain, SingularLaplacianChainStaysFinite) {

@@ -223,11 +223,12 @@ TEST(StreamedChain, DeterministicAcrossThreadCounts) {
   // bit-identical for any thread count and for the OpenMP-off build. The
   // golden value pins the x86-64 gcc Release build at fixed (seed, batch
   // size); re-record via BUILDING.md ("Re-baselining") after deliberate
-  // algorithm changes.
+  // algorithm changes. Last moved when the chain began stopping on the
+  // deflated dominance (0x0b073a77d853a5fd before), which changed its depth.
   const SDDMatrix m = grounded_grid(20);
   const ChainOptions opt = streamed_options();
 
-  constexpr std::uint64_t kGoldenHash = 0x0b073a77d853a5fdULL;
+  constexpr std::uint64_t kGoldenHash = 0xdd5d476aa053ef8fULL;
 
   for (const int threads : {1, 2, 4}) {
     support::par::ThreadLimit limit(threads);

@@ -201,23 +201,5 @@ TEST(ProjectedSquareFill, BoundsActualProductSize) {
   EXPECT_GT(projected, 0u);
 }
 
-TEST(AdjacencyDominance, LaplacianIsOne) {
-  EXPECT_DOUBLE_EQ(adjacency_dominance(SDDMatrix(graph::cycle_graph(6))), 1.0);
-}
-
-TEST(AdjacencyDominance, SlackReducesGamma) {
-  const Graph g = graph::cycle_graph(6);
-  const SDDMatrix m(g, Vector(6, 2.0));  // degree 2, slack 2 => gamma = 0.5
-  EXPECT_DOUBLE_EQ(adjacency_dominance(m), 0.5);
-}
-
-TEST(AdjacencyDominance, SquaringReducesGammaForNonsingular) {
-  const Graph g = graph::grid2d(7, 7);
-  const SDDMatrix m(g, Vector(g.num_vertices(), 1.0));
-  const double before = adjacency_dominance(m);
-  const double after = adjacency_dominance(square(m));
-  EXPECT_LT(after, before);
-}
-
 }  // namespace
 }  // namespace spar::solver
